@@ -29,7 +29,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from ..roadnet.model import RoadNetwork
 from ..roadnet.shortest_path import multi_source_reach
-from .clustering import Region
+from .clustering import Region, vertex_region_map
 
 
 @dataclass
@@ -59,15 +59,6 @@ class RegionGraph:
     @property
     def n_regions(self) -> int:
         return len(self.region_vertices)
-
-    def neighbors(self, r: int) -> list[int]:
-        out = []
-        for (a, b) in self.edges:
-            if a == r:
-                out.append(b)
-            elif b == r:
-                out.append(a)
-        return out
 
     def edge(self, a: int, b: int) -> RegionEdge | None:
         return self.edges.get((min(a, b), max(a, b)))
@@ -182,10 +173,7 @@ def build_region_graph(
 ) -> RegionGraph:
     """Assemble the full region graph: T-edges from trajectories (Spark),
     then B-edge completion via the stop-at-foreign-region BFS."""
-    vr = np.full(net.n_vertices, -1, dtype=np.int64)
-    for r in regions:
-        vr[r.vertices] = r.rid
-
+    vr = vertex_region_map(net, regions)
     rows = aggregate_t_edges(extract_t_edge_rows(spark, traj_df, vr))
 
     edges: dict[tuple[int, int], RegionEdge] = {}

@@ -5,14 +5,20 @@ Pipeline:
 1. **Region-edge features**: each region edge re gets ``re.dis`` (Euclidean
    distance between its regions' centroids) and ``re.𝔽`` (Cartesian product
    of the two regions' top-k road-type sets).
-2. **Pairwise similarity** (computed as a Spark crossJoin over the region-
-   edge feature DataFrame, Jaccard via ``array_intersect``/``array_union``):
+2. **Pairwise similarity**
 
        reSim(re_i, re_j) = ½·( min(dis_i,dis_j)/max(dis_i,dis_j)
                                + J(𝔽_i, 𝔽_j) )
 
    normalised to [0, 1] (the paper's sum is in [0, 2]; its amr range
-   0.5–0.9 reads naturally on the normalised scale).
+   0.5–0.9 reads naturally on the normalised scale). ``similarity_pairs``
+   computes it driver-side, a blocked numpy pass over the upper triangle
+   with 𝔽 as a bit mask and J = popcount(AND) / popcount(OR): the
+   region-edge count grows with the region graph, not with trajectory
+   volume, and the pass is far cheaper than a Spark job (DESIGN.md §5).
+   ``region_edge_features`` + ``pairwise_similarity`` are the Spark
+   crossJoin (Jaccard via ``array_intersect``/``array_union``) that the
+   tests compare the numpy pairs against, bit for bit.
 3. **Adjacency matrix reduction**: entries below threshold ``amr`` are
    zeroed (Table III default 0.7).
 4. **Graph-based transduction** (Eq. 2/3): solve, per feature column x,
@@ -38,26 +44,48 @@ from .region_graph import RegionGraph
 AMR_DEFAULT = 0.7
 MU1_DEFAULT = 1.0
 MU2_DEFAULT = 0.01
-N_SLAVE = len(ROAD_TYPES) + 1  # six road types + "none"
+N_RT = len(ROAD_TYPES)
+N_SLAVE = N_RT + 1  # six road types + "none"
 P_FEATURES = len(COSTS) + N_SLAVE
+# Cells per row block of the similarity pass: a block's temporaries stay
+# a few MB and below the dense n×n matrices of the solve.
+SIM_BLOCK_CELLS = 1 << 18
 
 EdgeKey = tuple[int, int]
 Pref = tuple[str, int | None]
 
 
+def edge_features(rg: RegionGraph) -> tuple[list[EdgeKey], np.ndarray, np.ndarray]:
+    """Sorted region-edge keys, ``dis`` per edge (centroid distance in metres,
+    at least 1) and 𝔽 per edge as a uint64 mask with bit ``ta * N_RT + tb``
+    set for every ta in the top types of ra and tb in those of rb."""
+    keys = sorted(rg.edges)
+    dis = np.empty(len(keys))
+    fmask = np.zeros(len(keys), dtype=np.uint64)
+    for i, (a, b) in enumerate(keys):
+        dis[i] = max(float(np.linalg.norm(rg.centroids[a] - rg.centroids[b])), 1.0)
+        bits = {ta * N_RT + tb for ta in rg.top_types[a] for tb in rg.top_types[b]}
+        fmask[i] = sum(1 << t for t in bits)
+    return keys, dis, fmask
+
+
 def region_edge_features(spark: SparkSession, rg: RegionGraph) -> DataFrame:
     """Feature DataFrame: idx, ra, rb, kind, dis, f (array of 'ta|tb' tokens)."""
-    rows = {"idx": [], "ra": [], "rb": [], "kind": [], "dis": [], "f": []}
-    for i, ((a, b), e) in enumerate(sorted(rg.edges.items())):
-        dis = float(np.linalg.norm(rg.centroids[a] - rg.centroids[b]))
-        feats = [f"{ta}|{tb}" for ta in rg.top_types[a] for tb in rg.top_types[b]]
-        rows["idx"].append(i); rows["ra"].append(a); rows["rb"].append(b)
-        rows["kind"].append(e.kind); rows["dis"].append(max(dis, 1.0)); rows["f"].append(feats)
-    return spark.createDataFrame(pd.DataFrame(rows))
+    keys, dis, fmask = edge_features(rg)
+    bits = range(N_RT * N_RT)
+    return spark.createDataFrame(pd.DataFrame({
+        "idx": range(len(keys)),
+        "ra": [a for a, _ in keys],
+        "rb": [b for _, b in keys],
+        "kind": [rg.edges[k].kind for k in keys],
+        "dis": dis,
+        "f": [[f"{t // N_RT}|{t % N_RT}" for t in bits if int(m) >> t & 1] for m in fmask],
+    }))
 
 
 def pairwise_similarity(feat_df: DataFrame, amr: float) -> DataFrame:
-    """Spark crossJoin: reSim for every region-edge pair with sim ≥ amr."""
+    """Spark crossJoin: reSim for every region-edge pair with sim ≥ amr.
+    The reference that ``similarity_pairs`` is tested against."""
     a = feat_df.select(
         F.col("idx").alias("i"), F.col("dis").alias("dis_i"), F.col("f").alias("f_i")
     )
@@ -76,6 +104,44 @@ def pairwise_similarity(feat_df: DataFrame, amr: float) -> DataFrame:
         .where(F.col("sim") >= amr)
         .select("i", "j", "sim")
     )
+
+
+_M1, _M2, _M4, _H01 = (
+    np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits per uint64 element (SWAR; numpy < 2 has no bitwise_count)."""
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return ((x * _H01) >> np.uint64(56)).astype(np.int64)
+
+
+def similarity_pairs(
+    dis: np.ndarray, fmask: np.ndarray, amr: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, sim) for every pair i < j with reSim ≥ ``amr``, in (i, j) order.
+
+    Same expression, in the same order, as the ``pairwise_similarity``
+    column, so the sims are bit-identical to Spark's. Row blocks of the
+    upper triangle bound the temporaries to ``SIM_BLOCK_CELLS`` cells."""
+    n = len(dis)
+    step = max(1, SIM_BLOCK_CELLS // max(n, 1))
+    out_i, out_j, out_s = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for r0 in range(0, n - 1, step):
+        r1 = min(r0 + step, n - 1)
+        di, dj = dis[r0:r1, None], dis[None, r0 + 1 :]
+        fi, fj = fmask[r0:r1, None], fmask[None, r0 + 1 :]
+        inter, union = _popcount(fi & fj), _popcount(fi | fj)
+        sim = (np.minimum(di, dj) / np.maximum(di, dj) + inter / np.maximum(union, 1)) / 2.0
+        # Local (a, b) is the pair (r0 + a, r0 + 1 + b): the upper triangle is b ≥ a.
+        a, b = np.nonzero((sim >= amr) & np.triu(np.ones(sim.shape, dtype=bool)))
+        out_i.append(a + r0)
+        out_j.append(b + r0 + 1)
+        out_s.append(sim[a, b])
+    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_s)
 
 
 def _conjugate_gradient(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, maxiter: int = 10000) -> np.ndarray:
@@ -126,22 +192,20 @@ def run_transfer(
     """Transfer ``labeled`` preferences to all other region edges.
 
     Returns (predictions for every unlabeled edge, wall-clock seconds of
-    the transduction stage). The adjacency matrix comes from the Spark
-    pairwise-similarity job; the (small, dense) linear systems are solved
-    driver-side with CG.
+    the transduction stage: matrix build and CG, not the similarity pass).
+    Everything runs driver-side: the adjacency matrix from
+    ``similarity_pairs``, then the (small, dense) linear systems with CG.
+    ``spark`` is unused and kept for the callers' signature.
     """
-    keys = sorted(rg.edges.keys())
+    keys, dis, fmask = edge_features(rg)
     n = len(keys)
     idx_of = {k: i for i, k in enumerate(keys)}
-
-    feat = region_edge_features(spark, rg)
-    pairs = pairwise_similarity(feat, amr).toPandas()
+    pi, pj, psim = similarity_pairs(dis, fmask, amr)
 
     t0 = time.perf_counter()
     M = np.zeros((n, n))
-    if len(pairs):
-        M[pairs["i"].to_numpy(), pairs["j"].to_numpy()] = pairs["sim"].to_numpy()
-        M += M.T
+    M[pi, pj] = psim
+    M += M.T
     D = np.diag(M.sum(axis=1))
     L = D - M
 
