@@ -1,35 +1,29 @@
 """Shared bench-scale fixtures.
 
 Benchmarks share one world (city + trajectories) and one built L2R
-pipeline so each bench target times only its own stage. The scale matches
-the ``bench`` configuration of ``jobs/common.py`` (the numbers recorded in
-EXPERIMENTS.md), trimmed only by the test/train split.
+pipeline so each bench target times only its own stage. The world is
+``repro.world``'s ``bench`` scale, the one the jobs run (the numbers
+recorded in EXPERIMENTS.md).
 """
-import numpy as np
 import pytest
 
 from repro.core.pipeline import build_l2r
-from repro.roadnet.generator import make_city
-from repro.traj.generator import generate_trajectories, split_train_test
-
-BENCH = dict(grid_n=32, cell_m=300.0, zone_cells=6, n=1800, n_drivers=60)
-SEED_CITY, SEED_TRAJ, SEED_SPLIT = 7, 11, 13
+from repro.world import build_world
 
 
 @pytest.fixture(scope="session")
-def bench_city():
-    return make_city(
-        grid_n=BENCH["grid_n"], cell_m=BENCH["cell_m"], zone_cells=BENCH["zone_cells"],
-        seed=SEED_CITY, local_cost_sigma=0.15,
-    )
+def bench_world():
+    return build_world("bench")
 
 
 @pytest.fixture(scope="session")
-def bench_trajs(bench_city):
-    trajs = generate_trajectories(
-        bench_city, n=BENCH["n"], n_drivers=BENCH["n_drivers"], seed=SEED_TRAJ, alpha=1.0
-    )
-    return split_train_test(trajs, test_frac=0.2, seed=SEED_SPLIT)
+def bench_city(bench_world):
+    return bench_world[0]
+
+
+@pytest.fixture(scope="session")
+def bench_trajs(bench_world):
+    return bench_world[1:]
 
 
 @pytest.fixture(scope="session")

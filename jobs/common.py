@@ -1,8 +1,9 @@
 """Shared spark-submit plumbing for the table/figure jobs.
 
-Every job reproduces one table of EXPERIMENTS.md. The *bench* scale is
-the default (the "D2-like" configuration recorded there); ``--scale
-test`` runs the same job at unit-test scale for a quick smoke.
+Every job reproduces one table of EXPERIMENTS.md on a world of
+``repro.world``. The *bench* scale is the default (the "D2-like"
+configuration recorded there); ``--scale test`` runs the same job at
+unit-test scale for a quick smoke.
 """
 from __future__ import annotations
 
@@ -15,17 +16,7 @@ import conftest  # noqa: F401  — sets PYSPARK_SUBMIT_ARGS before the JVM launc
 
 from pyspark.sql import SparkSession
 
-from repro.roadnet.generator import City, make_city
-from repro.traj.generator import Trajectory, generate_trajectories, split_train_test
-
-SCALES = {
-    # grid_n, cell_m, zone_cells, n_traj, n_drivers, alpha, sigma
-    "test": dict(grid_n=20, cell_m=250.0, zone_cells=5, n=400, n_drivers=30),
-    "bench": dict(grid_n=32, cell_m=300.0, zone_cells=6, n=1800, n_drivers=60),
-}
-SEED_CITY, SEED_TRAJ, SEED_SPLIT = 7, 11, 13
-LOCAL_COST_SIGMA = 0.15
-DEMAND_ALPHA = 1.0
+from repro.world import build_world  # noqa: F401  (the jobs import it from here)
 
 
 def get_spark(app: str) -> SparkSession:
@@ -38,20 +29,6 @@ def get_spark(app: str) -> SparkSession:
     )
     s.sparkContext.setLogLevel("ERROR")
     return s
-
-
-def build_world(scale: str = "bench") -> tuple[City, list[Trajectory], list[Trajectory]]:
-    """Deterministic city + train/test trajectory split for a scale."""
-    cfg = SCALES[scale]
-    city = make_city(
-        grid_n=cfg["grid_n"], cell_m=cfg["cell_m"], zone_cells=cfg["zone_cells"],
-        seed=SEED_CITY, local_cost_sigma=LOCAL_COST_SIGMA,
-    )
-    trajs = generate_trajectories(
-        city, n=cfg["n"], n_drivers=cfg["n_drivers"], seed=SEED_TRAJ, alpha=DEMAND_ALPHA
-    )
-    train, test = split_train_test(trajs, test_frac=0.2, seed=SEED_SPLIT)
-    return city, train, test
 
 
 def scale_from_argv() -> str:

@@ -46,12 +46,10 @@ def apply_preferences(
     work = _work_list(rg)
     if len(work) == 0:
         return 0
-    bundle = spark.sparkContext.broadcast(net.to_bundle())
-    peak_flag = bool(peak)
+    bc = spark.sparkContext.broadcast((net, {c: net.weights(c, peak=peak) for c in COSTS}))
 
     def gen(batches):
-        net_w = RoadNetwork.from_bundle(bundle.value)
-        weights = {c: net_w.weights(c, peak=peak_flag) for c in COSTS}
+        net_w, weights = bc.value
         for pdf in batches:
             out = {"ra": [], "rb": [], "path": []}
             for r in pdf.itertuples(index=False):

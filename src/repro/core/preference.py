@@ -13,9 +13,9 @@ solve, by the paper's coordinate-descent:
    if it strictly improves the summed similarity.
 
 Learning is embarrassingly parallel across T-edges, so it runs as a Spark
-``applyInPandas`` over the T-edge path rows with the road network broadcast
-as a numpy bundle. Per-path preferences (for the Fig. 6(a) statistics) are
-computed in the same pass.
+``applyInPandas`` over the T-edge path rows with the road network and its
+three weight arrays broadcast once. Per-path preferences (for the Fig. 6(a)
+statistics) are computed in the same pass.
 """
 from __future__ import annotations
 
@@ -100,13 +100,11 @@ def learn_t_edge_preferences(
     n_paths, n_unique_prefs; also writes the preferences into ``rg.edges``.
     """
     pdf_in = t_edge_paths_df(spark, rg)
-    bundle = spark.sparkContext.broadcast(net.to_bundle())
-    peak_flag = bool(peak)
+    bc = spark.sparkContext.broadcast((net, {c: net.weights(c, peak=peak) for c in COSTS}))
 
     def fit(key, pdf):  # untyped on purpose: pyspark's eval-type inference
         # warns on partially-hinted applyInPandas callables
-        net_w = RoadNetwork.from_bundle(bundle.value)
-        weights = {c: net_w.weights(c, peak=peak_flag) for c in COSTS}
+        net_w, weights = bc.value
         paths = [list(map(int, p)) for p in pdf["path"]]
         master, slave, score, per_path = _best_preference(net_w, paths, weights)
         uniq = len({pp for pp in per_path})

@@ -52,19 +52,12 @@ class L2RRouter:
     # Payload candidates within this factor of the cheapest stitched
     # estimate compete on popularity (see _edge_road_path).
     PAYLOAD_FILTER = 1.25
+    # Seconds per straight-line metre for connector estimates (priced at a
+    # typical secondary-road speed).
+    CONNECTOR_S_PER_M = 1.0 / (60.0 / 3.6)
 
     def __post_init__(self):
         self._tt = self.net.travel_time(peak=self.peak)
-        self._master_w = {c: self.net.weights(c, peak=self.peak) for c in ("DI", "TT", "FC")}
-        # Straight-line per-metre rates for connector estimates (priced at a
-        # typical secondary-road speed).
-        from ..roadnet.model import fuel_per_km
-
-        self._per_metre = {
-            "DI": 1.0,
-            "TT": 1.0 / (60.0 / 3.6),
-            "FC": float(fuel_per_km(np.array([60.0]))[0]) / 1000.0,
-        }
         # Adjacency of the region graph for the greedy search.
         nbrs: dict[int, set[int]] = {}
         for (a, b) in self.rg.edges:
@@ -122,7 +115,7 @@ class L2RRouter:
         xy = self.net.xy
         vr = self.rg.vertex_region
         w = self._tt
-        per_m = self._per_metre["TT"]
+        per_m = self.CONNECTOR_S_PER_M
 
         def oriented(path: list[int]) -> list[int]:
             if vr[path[0]] == b or vr[path[-1]] == a:

@@ -48,15 +48,10 @@ def evaluate(
             "path": [[int(v) for v in t.path] for t in test],
         }
     )
-    bc = spark.sparkContext.broadcast(
-        {"routers": routers, "net": net.to_bundle(), "vr": vertex_region}
-    )
+    bc = spark.sparkContext.broadcast((routers, net, vertex_region))
 
     def run(batches):
-        payload = bc.value
-        net_w = RoadNetwork.from_bundle(payload["net"])
-        vr = payload["vr"]
-        rts = payload["routers"]
+        rts, net_w, vr = bc.value
         for pdf in batches:
             out = {"traj_id": [], "router": [], "sim1": [], "sim4": [], "ms": [], "dist_m": [], "category": []}
             for q in pdf.itertuples(index=False):

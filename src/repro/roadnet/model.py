@@ -65,6 +65,9 @@ class RoadNetwork:
     nbr: np.ndarray
     nbr_edge: np.ndarray
 
+    def __post_init__(self):
+        self._gated: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
     # -- construction -----------------------------------------------------
     @classmethod
     def from_edges(
@@ -131,6 +134,23 @@ class RoadNetwork:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.nbr[lo:hi], self.nbr_edge[lo:hi]
 
+    def gated_csr(self, rt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, nbr, nbr_edge) of Alg. 2's gated graph for slave road type rt.
+
+        At each vertex it keeps the slots whose edge has road type ``rt`` if
+        there are any, and otherwise all of the vertex's slots, in CSR order.
+        The gate depends only on the vertex, not on the search, so the gated
+        graph is built once per road type and cached on the instance.
+        """
+        if rt not in self._gated:
+            owner = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
+            sat = self.rt[self.nbr_edge] == rt
+            keep = sat | ~np.bincount(owner[sat], minlength=self.n_vertices).astype(bool)[owner]
+            indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum(np.bincount(owner[keep], minlength=self.n_vertices))
+            self._gated[rt] = (indptr, self.nbr[keep], self.nbr_edge[keep])
+        return self._gated[rt]
+
     def path_edges(self, path: list[int]) -> np.ndarray:
         """Edge ids traversed by a vertex path (adjacent-pair lookup)."""
         out = []
@@ -168,15 +188,3 @@ class RoadNetwork:
             }
         )
         return spark.createDataFrame(pdf)
-
-    # -- broadcast support -------------------------------------------------
-    def to_bundle(self) -> dict:
-        """Plain-dict form for SparkContext.broadcast (cheap pickling)."""
-        return {
-            "xy": self.xy, "eu": self.eu, "ev": self.ev, "dist": self.dist,
-            "rt": self.rt, "indptr": self.indptr, "nbr": self.nbr, "nbr_edge": self.nbr_edge,
-        }
-
-    @classmethod
-    def from_bundle(cls, b: dict) -> "RoadNetwork":
-        return cls(**b)

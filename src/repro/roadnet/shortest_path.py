@@ -8,9 +8,13 @@ and the slave dimension gates edge expansion — if at least one incident
 edge satisfies the slave road type, only those edges are explored,
 otherwise all are.
 
-Both terminate early when the destination is settled; both operate on the
-CSR arrays of :class:`repro.roadnet.model.RoadNetwork`, so they run inside
-Spark workers on a broadcast bundle with no JVM round-trips.
+The gate depends only on the vertex, so each slave road type defines a
+fixed sub-graph (:meth:`repro.roadnet.model.RoadNetwork.gated_csr`), and
+both engines run the same search loop: ``dijkstra`` on the network's CSR
+arrays, ``preference_dijkstra`` on the gated CSR. The loop terminates
+early when the destination is settled and needs nothing but numpy arrays,
+so it runs inside Spark workers on a broadcast network with no JVM
+round-trips.
 """
 from __future__ import annotations
 
@@ -29,13 +33,11 @@ def _reconstruct(parent: dict[int, int], dst: int) -> list[int]:
     return path
 
 
-def dijkstra(
-    net: RoadNetwork, src: int, dst: int, w: np.ndarray
+def _search(
+    indptr: np.ndarray, nbr: np.ndarray, nbr_edge: np.ndarray,
+    src: int, dst: int, w: np.ndarray,
 ) -> tuple[list[int], float] | None:
-    """Lowest-cost path from ``src`` to ``dst`` under edge weights ``w``.
-
-    Returns ``(vertex path, cost)`` or ``None`` if unreachable.
-    """
+    """Dijkstra from ``src`` to ``dst`` over CSR arrays; ``None`` if unreached."""
     if src == dst:
         return [src], 0.0
     INF = np.inf
@@ -43,7 +45,6 @@ def dijkstra(
     parent = {src: -1}
     done = set()
     pq: list[tuple[float, int]] = [(0.0, src)]
-    indptr, nbr, nbr_edge = net.indptr, net.nbr, net.nbr_edge
     while pq:
         d, u = heapq.heappop(pq)
         if u in done:
@@ -62,6 +63,16 @@ def dijkstra(
                 parent[x] = u
                 heapq.heappush(pq, (nd, x))
     return None
+
+
+def dijkstra(
+    net: RoadNetwork, src: int, dst: int, w: np.ndarray
+) -> tuple[list[int], float] | None:
+    """Lowest-cost path from ``src`` to ``dst`` under edge weights ``w``.
+
+    Returns ``(vertex path, cost)`` or ``None`` if unreachable.
+    """
+    return _search(net.indptr, net.nbr, net.nbr_edge, src, dst, w)
 
 
 def preference_dijkstra(
@@ -87,39 +98,12 @@ def preference_dijkstra(
     settling the destination we fall back to plain Dijkstra on the master
     weights (the same fallback the paper applies to null preferences).
     """
-    if slave_rt is None:
-        return dijkstra(net, src, dst, master_w)
-    if src == dst:
-        return [src], 0.0
-    INF = np.inf
-    dist = {src: 0.0}
-    parent = {src: -1}
-    done = set()
-    pq: list[tuple[float, int]] = [(0.0, src)]
-    indptr, nbr, nbr_edge, rt = net.indptr, net.nbr, net.nbr_edge, net.rt
-    while pq:
-        d, u = heapq.heappop(pq)
-        if u in done:
-            continue
-        if u == dst:
-            return _reconstruct(parent, dst), d
-        done.add(u)
-        lo, hi = indptr[u], indptr[u + 1]
-        edges = nbr_edge[lo:hi]
-        sat = rt[edges] == slave_rt  # lines 8-9: does any edge satisfy V.slave?
-        none_sat = not bool(sat.any())
-        for x, e, s in zip(nbr[lo:hi], edges, sat):
-            if not (s or none_sat):  # line 11
-                continue
-            x = int(x)
-            if x in done:
-                continue
-            nd = d + master_w[e]
-            if nd < dist.get(x, INF):
-                dist[x] = nd
-                parent[x] = u
-                heapq.heappush(pq, (nd, x))
-    # Gated search trapped before reaching dst: master-only fallback.
+    if slave_rt is not None:
+        res = _search(*net.gated_csr(slave_rt), src, dst, master_w)
+        if res is not None:
+            return res
+    # Through the module-level name, so that wrapping ``dijkstra`` counts
+    # the trapped searches.
     return dijkstra(net, src, dst, master_w)
 
 

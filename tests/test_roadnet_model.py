@@ -1,4 +1,6 @@
 """Unit tests for the road-network model substrate."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.roadnet.model import (
     RoadNetwork,
     fuel_per_km,
 )
+from repro.roadnet.shortest_path import dijkstra, preference_dijkstra
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +104,21 @@ def test_path_edges_invalid_pair_raises(city):
         city.net.path_edges([0, city.net.n_vertices - 1])
 
 
-def test_bundle_roundtrip(city):
+def test_pickle_roundtrip_keeps_gated_csr(city):
+    """The Spark fan-outs broadcast the network itself, gated CSRs included."""
     net = city.net
-    net2 = RoadNetwork.from_bundle(net.to_bundle())
-    assert net2.n_vertices == net.n_vertices
+    for rt in range(len(ROAD_TYPES)):
+        net.gated_csr(rt)
+    net2 = pickle.loads(pickle.dumps(net))
     assert np.array_equal(net2.dist, net.dist)
+    assert net2._gated.keys() == net._gated.keys()
+    for rt in range(len(ROAD_TYPES)):
+        assert all(np.array_equal(a, b) for a, b in zip(net2.gated_csr(rt), net.gated_csr(rt)))
+    w = net.travel_time()
+    for s, d in [(0, net.n_vertices - 1), (5, 180), (37, 12)]:
+        assert dijkstra(net2, s, d, w) == dijkstra(net, s, d, w)
+        for rt in range(len(ROAD_TYPES)):
+            assert preference_dijkstra(net2, s, d, w, rt) == preference_dijkstra(net, s, d, w, rt)
 
 
 def test_city_zones(city):
