@@ -1,5 +1,5 @@
 """Bench target for Fig. 9 — the preference-transfer CV experiment
-(similarity crossJoin + transduction solve per sweep setting)."""
+(similarity pass + transduction solve per sweep setting)."""
 from repro.core.transfer import transfer_cv_experiment
 
 

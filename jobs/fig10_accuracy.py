@@ -1,7 +1,7 @@
 """Figs. 10, 11 and 12 as tables — accuracy (Eqs. 1 & 4) and run-time of
 L2R vs Shortest / Fastest / Dom / TRIP, by distance bucket and region
 category; plus the offline stage timings (Sec. VII-C)."""
-from common import build_world, get_spark, scale_from_argv
+from common import build_world, get_session, scale_from_argv
 
 from repro.baselines.costcentric import FastestRouter, ShortestRouter
 from repro.baselines.dom import DomRouter
@@ -18,7 +18,7 @@ from repro.traj.stats import D2_BUCKETS
 
 
 def main() -> None:
-    spark = get_spark("fig10")
+    spark = get_session("fig10")
     city, train, test = build_world(scale_from_argv())
     arts = build_l2r(spark, city, train)
     print("\n=== Offline processing times (Sec. VII-C), seconds ===")

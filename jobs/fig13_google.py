@@ -2,7 +2,7 @@
 scored with the 10 m-band way-point matching of Sec. VII-D."""
 import numpy as np
 import pandas as pd
-from common import build_world, get_spark, scale_from_argv
+from common import build_world, get_session, scale_from_argv
 
 from repro.baselines.external import GoogleSimRouter
 from repro.core.pipeline import build_l2r
@@ -12,7 +12,7 @@ from repro.traj.stats import D2_BUCKETS
 
 
 def main() -> None:
-    spark = get_spark("fig13")
+    spark = get_session("fig13")
     city, train, test = build_world(scale_from_argv())
     arts = build_l2r(spark, city, train)
     gs = GoogleSimRouter(city.net, seed=29)

@@ -1,5 +1,5 @@
 """Fig. 9 as a table — transfer accuracy vs #partitions and vs amr."""
-from common import build_world, get_spark, scale_from_argv
+from common import build_world, get_session, scale_from_argv
 
 from repro.core.clustering import bottom_up_clustering
 from repro.core.popularity import edge_popularity_array
@@ -10,7 +10,7 @@ from repro.traj.generator import trajectories_df
 
 
 def main() -> None:
-    spark = get_spark("fig9")
+    spark = get_session("fig9")
     city, train, _ = build_world(scale_from_argv())
     df = trajectories_df(spark, train)
     pop = edge_popularity_array(df, city.net, spark)

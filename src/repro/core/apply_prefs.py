@@ -13,7 +13,6 @@ road network broadcast.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 

@@ -25,7 +25,7 @@ from .popularity import edge_popularity_array
 from .preference import learn_t_edge_preferences
 from .region_graph import build_region_graph
 from .routing import L2RRouter
-from .transfer import AMR_DEFAULT, transfer_b_edge_preferences
+from .transfer import transfer_b_edge_preferences
 
 
 @dataclass
@@ -43,7 +43,6 @@ def build_l2r(
     city: City,
     train: list[Trajectory],
     peak: bool = False,
-    amr: float = AMR_DEFAULT,
 ) -> L2RArtifacts:
     """Offline build on one period's trajectories."""
     net = city.net
@@ -61,7 +60,7 @@ def build_l2r(
     timings["step1_learn"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    transfer_b_edge_preferences(spark, rg, amr=amr)
+    transfer_b_edge_preferences(rg)
     timings["step2_transfer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -88,9 +87,9 @@ class PeriodL2R:
         return (self.peak if peak else self.off).route(s, d)
 
 
-def build_l2r_per_period(spark, city: City, train: list[Trajectory], amr: float = AMR_DEFAULT) -> tuple[PeriodL2R, dict]:
-    off = build_l2r(spark, city, [t for t in train if not t.peak], peak=False, amr=amr)
-    peak = build_l2r(spark, city, [t for t in train if t.peak], peak=True, amr=amr)
+def build_l2r_per_period(spark, city: City, train: list[Trajectory]) -> tuple[PeriodL2R, dict]:
+    off = build_l2r(spark, city, [t for t in train if not t.peak], peak=False)
+    peak = build_l2r(spark, city, [t for t in train if t.peak], peak=True)
     return PeriodL2R(off=off.router, peak=peak.router), {
         "off": off.timings_s,
         "peak": peak.timings_s,

@@ -1,7 +1,8 @@
-"""Edge/vertex popularity from trajectories — the clustering input (Sec. IV-A).
+"""Edge popularity from trajectories — the clustering input (Sec. IV-A).
 
 The popularity s_ij of edge (v_i, v_j) is the number of trajectories that
-occurred on that edge; S_i is the sum over edges incident to v_i. This is
+occurred on that edge; Alg. 1 sums it into the vertex popularity S_i
+itself (``clustering._Cluster.S``). This is
 the data-heavy reduction of the pipeline (raw trajectories → per-edge
 counts), so it is a pure DataFrame aggregation: posexplode each path into
 (position, vertex), self-join consecutive positions into traversed vertex
@@ -52,10 +53,3 @@ def edge_popularity_array(traj_df: DataFrame, net: RoadNetwork, spark) -> np.nda
     s[pdf["eid"].to_numpy()] = pdf["popularity"].to_numpy()
     return s
 
-
-def vertex_popularity(net: RoadNetwork, edge_pop: np.ndarray) -> np.ndarray:
-    """S_i = Σ_j s_ij over incident edges."""
-    S = np.zeros(net.n_vertices, dtype=np.float64)
-    np.add.at(S, net.eu, edge_pop)
-    np.add.at(S, net.ev, edge_pop)
-    return S

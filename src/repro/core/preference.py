@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import DataFrame, SparkSession
 
 from ..roadnet.model import COSTS, ROAD_TYPES, RoadNetwork
 from ..roadnet.shortest_path import dijkstra, preference_dijkstra

@@ -31,6 +31,9 @@ from ..roadnet.model import RoadNetwork
 from ..roadnet.shortest_path import multi_source_reach
 from .clustering import Region, vertex_region_map
 
+TOP_K_TYPES = 2  # road types per region in the functionality descriptor 𝔽
+MAX_PATHS_PER_EDGE = 16  # payload paths kept per T-edge, most traversed first
+
 
 @dataclass
 class RegionEdge:
@@ -152,15 +155,15 @@ def aggregate_t_edges(rows: DataFrame) -> pd.DataFrame:
 # --------------------------------------------------------------------------
 # Region features + assembly
 # --------------------------------------------------------------------------
-def region_top_types(net: RoadNetwork, region_vertices: np.ndarray, k: int = 2) -> list[int]:
-    """Top-k road types of edges incident to the region's vertices — the
-    region functionality descriptor 𝔽 of Sec. V-B."""
+def region_top_types(net: RoadNetwork, region_vertices: np.ndarray) -> list[int]:
+    """The ``TOP_K_TYPES`` most frequent road types of edges incident to the
+    region's vertices — the region functionality descriptor 𝔽 of Sec. V-B."""
     mask = np.zeros(net.n_vertices, dtype=bool)
     mask[region_vertices] = True
     incident = mask[net.eu] | mask[net.ev]
     counts = np.bincount(net.rt[incident].astype(np.int64), minlength=6)
     order = np.argsort(-counts, kind="stable")
-    return [int(t) for t in order[:k] if counts[t] > 0]
+    return [int(t) for t in order[:TOP_K_TYPES] if counts[t] > 0]
 
 
 def build_region_graph(
@@ -168,19 +171,26 @@ def build_region_graph(
     net: RoadNetwork,
     regions: list[Region],
     traj_df: DataFrame,
-    top_k_types: int = 2,
-    max_paths_per_edge: int = 16,
 ) -> RegionGraph:
     """Assemble the full region graph: T-edges from trajectories (Spark),
-    then B-edge completion via the stop-at-foreign-region BFS."""
+    then B-edge completion via the stop-at-foreign-region BFS.
+
+    The aggregated rows are sorted by (kind, ra, rb, path) before assembly,
+    so payload order, the top-``MAX_PATHS_PER_EDGE`` cut on tied
+    (count, length) and the order of ``inner_paths`` do not depend on the
+    order in which Spark returns the rows (its shuffle partitioning)."""
     vr = vertex_region_map(net, regions)
-    rows = aggregate_t_edges(extract_t_edge_rows(spark, traj_df, vr))
+    rows = sorted(
+        (kind, int(ra), int(rb), [int(v) for v in path], int(cnt))
+        for kind, ra, rb, path, cnt in aggregate_t_edges(
+            extract_t_edge_rows(spark, traj_df, vr)
+        ).itertuples(index=False)
+    )
 
     edges: dict[tuple[int, int], RegionEdge] = {}
     inner: dict[int, list[tuple[list[int], int]]] = {}
     centers: dict[int, set[int]] = {}
-    for _, row in rows.iterrows():
-        kind, ra, rb, path, cnt = row["kind"], int(row["ra"]), int(row["rb"]), list(map(int, row["path"])), int(row["cnt"])
+    for kind, ra, rb, path, cnt in rows:
         if kind == "pair":
             key = (min(ra, rb), max(ra, rb))
             e = edges.setdefault(key, RegionEdge(ra=key[0], rb=key[1], kind="T"))
@@ -192,10 +202,10 @@ def build_region_graph(
     # Keep the most-traversed paths per T-edge (bounded payload).
     for e in edges.values():
         e.paths.sort(key=lambda pc: (-pc[1], len(pc[0])))
-        e.paths = e.paths[:max_paths_per_edge]
+        e.paths = e.paths[:MAX_PATHS_PER_EDGE]
 
     centroids = np.stack([net.xy[r.vertices].mean(axis=0) for r in regions])
-    top_types = [region_top_types(net, r.vertices, k=top_k_types) for r in regions]
+    top_types = [region_top_types(net, r.vertices) for r in regions]
     transfer_centers = []
     for r in regions:
         cs = sorted(centers.get(r.rid, set()))

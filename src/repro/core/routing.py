@@ -64,8 +64,6 @@ class L2RRouter:
             nbrs.setdefault(a, set()).add(b)
             nbrs.setdefault(b, set()).add(a)
         self._nbrs = {k: sorted(v) for k, v in nbrs.items()}
-        # Index inner paths per region for fast same-region lookup.
-        self._inner: dict[int, list[tuple[list[int], int]]] = dict(self.rg.inner_paths)
 
     # -- region-level search ----------------------------------------------
     def _region_path(self, rs: int, rd: int) -> list[int] | None:
@@ -123,18 +121,15 @@ class L2RRouter:
             return list(path)
 
         cands = []
+        # Every stored payload is a contiguous road path (a trajectory
+        # sub-path or a Step-3 Dijkstra path), so path_edges cannot raise.
         for path, cnt in e.paths:
             p = oriented(path)
-            try:
-                payload_cost = float(w[self.net.path_edges(p)].sum())
-            except ValueError:
-                continue
+            payload_cost = float(w[self.net.path_edges(p)].sum())
             connector = float(
                 np.linalg.norm(xy[p[0]] - xy[cur]) + np.linalg.norm(xy[p[-1]] - xy[dest])
             )
             cands.append((p, cnt, payload_cost + per_m * connector))
-        if not cands:
-            return None
         min_cost = min(c for _, _, c in cands)
         ok = [x for x in cands if x[2] <= self.PAYLOAD_FILTER * min_cost]
         return max(ok, key=lambda x: (x[1], -x[2]))[0]
@@ -158,7 +153,7 @@ class L2RRouter:
 
     def _inner_connect(self, region: int, u: int, v: int) -> list[int] | None:
         best, best_cnt = None, 0
-        for path, cnt in self._inner.get(region, []):
+        for path, cnt in self.rg.inner_paths.get(region, []):
             try:
                 i, j = path.index(u), path.index(v)
             except ValueError:

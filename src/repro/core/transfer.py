@@ -23,8 +23,9 @@ Pipeline:
    zeroed (Table III default 0.7).
 4. **Graph-based transduction** (Eq. 2/3): solve, per feature column x,
    ``(S + μ1·L + μ2·I) Ŷ·x = S·Y·x`` with conjugate gradients on the SPD
-   system (L = D − M unnormalised Laplacian). Feature space: 3 master
-   columns (DI, TT, FC) + 7 slave columns (6 road types + "none").
+   system (L = D − M unnormalised Laplacian, S the diagonal 0/1 mask of
+   labeled edges), with μ1, μ2 at their Table III values. Feature space:
+   3 master columns (DI, TT, FC) + 7 slave columns (6 road types + "none").
 5. **Decode**: per unlabeled edge, master = argmax over master columns,
    slave = argmax over slave columns; an all-zero row (edge disconnected
    from every labeled edge after reduction) yields a null preference —
@@ -44,6 +45,10 @@ from .region_graph import RegionGraph
 AMR_DEFAULT = 0.7
 MU1_DEFAULT = 1.0
 MU2_DEFAULT = 0.01
+# Fig. 9: the T-edges are split into N_FOLDS folds (seeded), the last one
+# held out as ground truth.
+N_FOLDS = 5
+CV_SEED = 17
 N_RT = len(ROAD_TYPES)
 N_SLAVE = N_RT + 1  # six road types + "none"
 P_FEATURES = len(COSTS) + N_SLAVE
@@ -182,20 +187,16 @@ def _decode(row: np.ndarray, eps: float = 1e-9) -> Pref | None:
 
 
 def run_transfer(
-    spark: SparkSession,
-    rg: RegionGraph,
-    labeled: dict[EdgeKey, Pref],
-    amr: float = AMR_DEFAULT,
-    mu1: float = MU1_DEFAULT,
-    mu2: float = MU2_DEFAULT,
+    rg: RegionGraph, labeled: dict[EdgeKey, Pref], amr: float = AMR_DEFAULT
 ) -> tuple[dict[EdgeKey, Pref | None], float]:
     """Transfer ``labeled`` preferences to all other region edges.
 
     Returns (predictions for every unlabeled edge, wall-clock seconds of
     the transduction stage: matrix build and CG, not the similarity pass).
-    Everything runs driver-side: the adjacency matrix from
+    Everything runs driver-side: the adjacency matrix M from
     ``similarity_pairs``, then the (small, dense) linear systems with CG.
-    ``spark`` is unused and kept for the callers' signature.
+    Eq. 3's matrix is built in M's buffer: off the diagonal it is −μ1·M
+    (S and I are diagonal, and M's diagonal is 0), on it s + μ1·deg + μ2.
     """
     keys, dis, fmask = edge_features(rg)
     n = len(keys)
@@ -203,23 +204,22 @@ def run_transfer(
     pi, pj, psim = similarity_pairs(dis, fmask, amr)
 
     t0 = time.perf_counter()
-    M = np.zeros((n, n))
-    M[pi, pj] = psim
-    M += M.T
-    D = np.diag(M.sum(axis=1))
-    L = D - M
-
-    S = np.zeros((n, n))
+    s = np.zeros(n)  # the diagonal of S
     Y = np.zeros((n, P_FEATURES))
     for k, pref in labeled.items():
         i = idx_of[k]
-        S[i, i] = 1.0
+        s[i] = 1.0
         Y[i] = _one_hot(pref)
 
-    A = S + mu1 * L + mu2 * np.eye(n)
+    A = np.zeros((n, n))
+    A[pi, pj] = psim
+    A += A.T  # M
+    diag = s + MU1_DEFAULT * A.sum(axis=1) + MU2_DEFAULT
+    A *= -MU1_DEFAULT
+    A[np.diag_indices(n)] = diag
     Yhat = np.zeros_like(Y)
     for x in range(P_FEATURES):
-        Yhat[:, x] = _conjugate_gradient(A, S @ Y[:, x])
+        Yhat[:, x] = _conjugate_gradient(A, s * Y[:, x])
     elapsed = time.perf_counter() - t0
 
     preds: dict[EdgeKey, Pref | None] = {}
@@ -230,17 +230,12 @@ def run_transfer(
     return preds, elapsed
 
 
-def transfer_b_edge_preferences(
-    spark: SparkSession,
-    rg: RegionGraph,
-    amr: float = AMR_DEFAULT,
-    mu1: float = MU1_DEFAULT,
-    mu2: float = MU2_DEFAULT,
-) -> dict[EdgeKey, Pref | None]:
+def transfer_b_edge_preferences(rg: RegionGraph) -> dict[EdgeKey, Pref | None]:
     """Production path: T-edge preferences (already learned into ``rg``) are
-    the labels; predictions are written into the B-edges' ``pref``."""
+    the labels; predictions at the default amr are written into the
+    B-edges' ``pref``."""
     labeled = {k: e.pref for k, e in rg.edges.items() if e.kind == "T" and e.pref is not None}
-    preds, _ = run_transfer(spark, rg, labeled, amr=amr, mu1=mu1, mu2=mu2)
+    preds, _ = run_transfer(rg, labeled)
     for k, pref in preds.items():
         if rg.edges[k].kind == "B":
             rg.edges[k].pref = pref
@@ -262,31 +257,33 @@ def _pref_jaccard(p1: Pref | None, p2: Pref | None) -> float:
 def transfer_cv_experiment(
     spark: SparkSession,
     rg: RegionGraph,
-    n_folds: int = 5,
     amr_values: list[float] = (0.5, 0.6, 0.7, 0.8, 0.9),
     partitions_sweep: bool = True,
-    seed: int = 17,
 ) -> pd.DataFrame:
     """Reproduces Fig. 9: hold out one fold of T-edge preferences as ground
     truth; vary (a) the number of labeled folds at amr=default and (b) amr
-    with 4 labeled folds. Reports accuracy, N-rate and transfer runtime."""
+    with 4 labeled folds. Reports accuracy, N-rate and transfer runtime.
+
+    Step 2 runs driver-side and never uses ``spark``; it stays the first
+    parameter because callers (the Fig. 9 job, the benchmark) pass it
+    positionally."""
     t_edges = [(k, e.pref) for k, e in sorted(rg.edges.items()) if e.kind == "T" and e.pref]
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(CV_SEED)
     order = g.permutation(len(t_edges))
-    folds = [order[i::n_folds] for i in range(n_folds)]
+    folds = [order[i::N_FOLDS] for i in range(N_FOLDS)]
     truth = {t_edges[i][0]: t_edges[i][1] for i in folds[-1]}
 
     rows = []
     sweeps = []
     if partitions_sweep:
-        sweeps += [("partitions", f"{x}X", list(range(x)), AMR_DEFAULT) for x in range(1, n_folds)]
-    sweeps += [("amr", f"{amr:g}", list(range(n_folds - 1)), amr) for amr in amr_values]
+        sweeps += [("partitions", f"{x}X", list(range(x)), AMR_DEFAULT) for x in range(1, N_FOLDS)]
+    sweeps += [("amr", f"{amr:g}", list(range(N_FOLDS - 1)), amr) for amr in amr_values]
     for kind, label, fold_ids, amr in sweeps:
         labeled = {}
         for fi in fold_ids:
             for i in folds[fi]:
                 labeled[t_edges[i][0]] = t_edges[i][1]
-        preds, elapsed = run_transfer(spark, rg, labeled, amr=amr)
+        preds, elapsed = run_transfer(rg, labeled, amr=amr)
         accs = [_pref_jaccard(preds.get(k), v) for k, v in truth.items()]
         n_null = sum(1 for k in truth if preds.get(k) is None)
         rows.append(

@@ -169,12 +169,6 @@ class RoadNetwork:
         return float(self.dist[self.path_edges(path)].sum())
 
     # -- Spark interop ----------------------------------------------------
-    def vertices_df(self, spark: SparkSession) -> DataFrame:
-        pdf = pd.DataFrame(
-            {"vid": np.arange(self.n_vertices, dtype=np.int64), "x": self.xy[:, 0], "y": self.xy[:, 1]}
-        )
-        return spark.createDataFrame(pdf)
-
     def edges_df(self, spark: SparkSession) -> DataFrame:
         pdf = pd.DataFrame(
             {

@@ -45,6 +45,8 @@ _INDUSTRIAL_DEFAULT = ("FC", "primary")
 # highways even when not shortest.
 LONG_TRIP_FRAC = 0.55
 LONG_TRIP_PREF = ("TT", "motorway")
+# Share of trips departing in the peak hours (7–9 h and 16–18 h).
+PEAK_SHARE = 0.4
 
 
 def latent_preference(city: City, s: int, d: int) -> tuple[str, str | None]:
@@ -63,7 +65,8 @@ def latent_preference(city: City, s: int, d: int) -> tuple[str, str | None]:
 
 @dataclass
 class Trajectory:
-    """A map-matched trajectory: the road-network path plus metadata."""
+    """A trajectory: the road-network path plus metadata (the stand-in for a
+    map-matched GPS trace)."""
 
     traj_id: int
     driver: int
@@ -103,7 +106,6 @@ def generate_trajectories(
     n_drivers: int = 40,
     seed: int = 11,
     alpha: float = 1.25,
-    peak_share: float = 0.4,
 ) -> list[Trajectory]:
     """Generate ``n`` trajectories by routing with the latent preferences.
 
@@ -136,7 +138,7 @@ def generate_trajectories(
         d = int(g.choice(zone_vertices[zd]))
         if s == d:
             continue
-        peak = bool(g.random() < peak_share)
+        peak = bool(g.random() < PEAK_SHARE)
         hour = int(g.choice([7, 8, 16, 17])) if peak else int(g.choice([10, 11, 13, 14, 20]))
         master, slave = latent_preference(city, s, d)
         res = preference_dijkstra(

@@ -2,18 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.core.apply_prefs import apply_preferences
 from repro.core.pipeline import build_l2r
-from repro.core.routing import L2RRouter, _dedupe
+from repro.core.routing import _dedupe
 from repro.eval.similarity import psim
-from repro.roadnet.generator import make_city
 from repro.roadnet.shortest_path import dijkstra
 from repro.traj.generator import generate_trajectories, split_train_test
-
-
-@pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +41,19 @@ def test_b_edge_paths_touch_both_regions(arts):
         path = e.paths[0][0]
         assert rg.vertex_region[path[0]] in (a, b)
         assert rg.vertex_region[path[-1]] in (a, b)
+
+
+def test_every_payload_is_a_road_path(city, arts):
+    """The router prices every stored payload with ``path_edges`` and no
+    ``ValueError`` guard: T-edge and Step-3 B-edge payloads, either way round."""
+    rg = arts.router.rg
+    priced = {"T": 0, "B": 0}
+    for e in rg.edges.values():
+        for path, _ in e.paths:
+            for p in (path, path[::-1]):
+                assert len(city.net.path_edges(p)) == len(p) - 1
+                priced[e.kind] += 1
+    assert priced["T"] > 0 and priced["B"] > 0
 
 
 def test_dedupe():

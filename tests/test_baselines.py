@@ -7,15 +7,9 @@ from repro.baselines.dom import DomRouter
 from repro.baselines.external import GoogleSimRouter
 from repro.baselines.trip import TripRouter
 from repro.eval.similarity import psim
-from repro.roadnet.generator import make_city
 from repro.roadnet.model import COSTS
 from repro.roadnet.shortest_path import dijkstra
 from repro.traj.generator import generate_trajectories
-
-
-@pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
 
 
 @pytest.fixture(scope="module")

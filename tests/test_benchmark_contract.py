@@ -1,0 +1,104 @@
+"""The names and call forms the benchmark (``perfbench/``) uses from the
+program, so a change to the program cannot break the benchmark unseen.
+
+``perfbench/run.py`` is imported only to read its ``STAGES`` table; the
+calls are read from the benchmark's source with ``ast`` and bound against
+the program's signatures.
+"""
+import ast
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro.core.pipeline as pipeline
+import repro.core.routing as routing
+import repro.core.transfer as transfer
+import repro.roadnet.shortest_path as shortest_path
+from repro.roadnet.generator import make_city
+from repro.traj.generator import generate_trajectories, split_train_test
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CALLED = {
+    "make_city": make_city,
+    "generate_trajectories": generate_trajectories,
+    "split_train_test": split_train_test,
+    "build_l2r": pipeline.build_l2r,
+    "transfer_cv_experiment": transfer.transfer_cv_experiment,
+}
+
+
+@pytest.fixture(scope="module")
+def run_module():
+    """``perfbench/run.py`` loaded as a module. ``sys.path`` and bytecode
+    writing are restored afterwards, and the benchmark's own modules are
+    dropped from ``sys.modules``."""
+    path = list(sys.path)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+        for name, m in list(sys.modules.items()):  # checks, world, spans
+            if str(getattr(m, "__file__", "")).startswith(str(PERFBENCH)):
+                del sys.modules[name]
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_stages_are_bound_in_pipeline(run_module):
+    assert run_module.STAGES
+    for attr, _ in run_module.STAGES:
+        assert callable(getattr(pipeline, attr)), attr
+
+
+@pytest.mark.parametrize(
+    "module,attr",
+    [
+        (transfer, "run_transfer"),
+        (transfer, "region_edge_features"),
+        (transfer, "pairwise_similarity"),
+        (routing, "dijkstra"),
+        (shortest_path, "dijkstra"),
+        (shortest_path, "preference_dijkstra"),
+    ],
+)
+def test_wrapped_and_called_names_exist(module, attr):
+    assert callable(getattr(module, attr))
+
+
+def _calls(name: str):
+    """(positional count, keyword names) of every call to ``name`` in the
+    benchmark's run, world and reference scripts."""
+    out = []
+    for script in ("run.py", "world.py", "record_reference.py"):
+        for node in ast.walk(ast.parse((PERFBENCH / script).read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) != name:
+                continue
+            assert not any(isinstance(a, ast.Starred) for a in node.args), (script, name)
+            assert all(k.arg is not None for k in node.keywords), (script, name)
+            out.append((len(node.args), tuple(k.arg for k in node.keywords)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CALLED))
+def test_benchmark_calls_bind(name):
+    calls = _calls(name)
+    assert calls, f"the benchmark no longer calls {name}"
+    sig = inspect.signature(CALLED[name])
+    for n_args, kwargs in calls:
+        sig.bind(*[None] * n_args, **dict.fromkeys(kwargs))
+
+
+def test_both_transfer_cv_forms_are_called():
+    """The whole Fig. 9 table and the amr-only sweep."""
+    assert {(2, ()), (2, ("amr_values", "partitions_sweep"))} <= set(_calls("transfer_cv_experiment"))

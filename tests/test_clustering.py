@@ -3,17 +3,13 @@ import numpy as np
 import pytest
 
 from repro.core.clustering import (
-    Region,
     _check_q,
     _Cluster,
     bottom_up_clustering,
     modularity_gain,
     vertex_region_map,
 )
-from repro.core.popularity import edge_popularity_array
-from repro.roadnet.generator import make_city
 from repro.roadnet.model import RoadNetwork
-from repro.traj.generator import generate_trajectories, trajectories_df
 
 
 # -- modularity gain --------------------------------------------------------
@@ -123,19 +119,6 @@ def test_empty_popularity_yields_no_regions():
 
 
 # -- full-city invariants ---------------------------------------------------
-@pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
-
-
-@pytest.fixture(scope="module")
-def clustered(city, spark):
-    trajs = generate_trajectories(city, n=150, n_drivers=15, seed=11)
-    traj_df = trajectories_df(spark, trajs)
-    pop = edge_popularity_array(traj_df, city.net, spark)
-    return pop, bottom_up_clustering(city.net, pop)
-
-
 def test_regions_partition_covered_vertices(city, clustered):
     pop, regions = clustered
     covered = set()

@@ -1,22 +1,14 @@
 """Tests for the Spark edge-popularity aggregation (clustering input)."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core.popularity import (
     edge_popularity_array,
     edge_popularity_df,
     traversals_df,
-    vertex_popularity,
 )
 from repro.oracle import assert_equivalent
-from repro.roadnet.generator import make_city
 from repro.traj.generator import generate_trajectories, trajectories_df
-
-
-@pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +74,3 @@ def test_covered_edges_subset(spark, city, traj_df, trajs):
         covered.update(map(int, city.net.path_edges(t.path)))
     assert set(np.flatnonzero(arr > 0)) == covered
 
-
-def test_vertex_popularity_sums(city, spark, traj_df):
-    arr = edge_popularity_array(traj_df, city.net, spark)
-    S = vertex_popularity(city.net, arr)
-    assert S.shape == (city.net.n_vertices,)
-    # Handshake: sum of vertex popularities is twice the edge popularity sum.
-    assert S.sum() == pytest.approx(2 * arr.sum())
-    # Spot-check one vertex.
-    v = int(np.argmax(S))
-    nbrs, eids = city.net.neighbors(v)
-    assert S[v] == pytest.approx(arr[eids].sum())

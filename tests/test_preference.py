@@ -1,26 +1,14 @@
 """Tests for Step 1 — routing-preference learning on T-edges (Sec. V-A)."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.clustering import bottom_up_clustering
-from repro.core.popularity import edge_popularity_array
 from repro.core.preference import (
     _best_preference,
-    learn_t_edge_preferences,
     preference_distribution,
     t_edge_paths_df,
 )
-from repro.core.region_graph import build_region_graph
-from repro.roadnet.generator import make_city
 from repro.roadnet.model import COSTS, RT_CODE
 from repro.roadnet.shortest_path import dijkstra, preference_dijkstra
-from repro.traj.generator import generate_trajectories, trajectories_df
-
-
-@pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -124,14 +112,8 @@ def test_best_preference_no_slave_for_plain_paths(city, weights):
 
 # -- Spark fan-out over the region graph ------------------------------------
 @pytest.fixture(scope="module")
-def built(city, spark):
-    trajs = generate_trajectories(city, n=150, n_drivers=15, seed=11)
-    traj_df = trajectories_df(spark, trajs)
-    pop = edge_popularity_array(traj_df, city.net, spark)
-    regions = bottom_up_clustering(city.net, pop)
-    rg = build_region_graph(spark, city.net, regions, traj_df)
-    prefs = learn_t_edge_preferences(spark, city.net, rg)
-    return trajs, rg, prefs
+def built(trajs, learned):
+    return trajs, *learned
 
 
 def test_every_t_edge_gets_preference(built):

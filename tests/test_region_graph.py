@@ -2,8 +2,6 @@
 import numpy as np
 import pytest
 
-from repro.core.clustering import bottom_up_clustering
-from repro.core.popularity import edge_popularity_array
 from repro.core.region_graph import (
     _convex_hull,
     _segments,
@@ -13,23 +11,12 @@ from repro.core.region_graph import (
     region_size_table,
     region_top_types,
 )
-from repro.roadnet.generator import make_city
-from repro.traj.generator import generate_trajectories, trajectories_df
+from repro.traj.generator import trajectories_df
 
 
 @pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
-
-
-@pytest.fixture(scope="module")
-def built(city, spark):
-    trajs = generate_trajectories(city, n=150, n_drivers=15, seed=11)
-    traj_df = trajectories_df(spark, trajs)
-    pop = edge_popularity_array(traj_df, city.net, spark)
-    regions = bottom_up_clustering(city.net, pop)
-    rg = build_region_graph(spark, city.net, regions, traj_df)
-    return trajs, regions, rg
+def built(trajs, clustered, region_graph):
+    return trajs, clustered[1], region_graph
 
 
 # -- decomposition unit tests ----------------------------------------------
@@ -72,6 +59,30 @@ def test_decompose_dedupes_revisited_pairs():
 
 
 # -- assembled region graph -------------------------------------------------
+def test_region_graph_independent_of_spark_partitioning(spark, city, trajs, clustered, region_graph):
+    """Payload lists (order included), inner paths and transfer centers are
+    the same at 8 and 64 shuffle partitions, with AQE coalescing on and off:
+    the build sorts Spark's aggregated rows before assembling them."""
+
+    def view(rg):
+        paths = [(k, e.paths) for k, e in rg.edges.items()]
+        return paths, rg.inner_paths, rg.transfer_centers
+
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+    saved = {k: spark.conf.get(k) for k in keys}
+    traj_df = trajectories_df(spark, trajs)
+    try:
+        for parts in ("8", "64"):
+            for aqe in ("true", "false"):
+                spark.conf.set(keys[0], parts)
+                spark.conf.set(keys[1], aqe)
+                rg = build_region_graph(spark, city.net, clustered[1], traj_df)
+                assert view(rg) == view(region_graph), (parts, aqe)
+    finally:
+        for k, v in saved.items():
+            spark.conf.set(k, v)
+
+
 def test_t_edge_paths_are_contiguous(city, built):
     _, _, rg = built
     t_edges = [e for e in rg.edges.values() if e.kind == "T"]
@@ -147,7 +158,7 @@ def test_top_types_valid(city, built):
 
 
 def test_region_top_types_direct(city):
-    tps = region_top_types(city.net, np.array([0, 1, 2]), k=2)
+    tps = region_top_types(city.net, np.array([0, 1, 2]))
     assert len(tps) >= 1
 
 

@@ -17,11 +17,6 @@ from repro.roadnet.model import (
 from repro.roadnet.shortest_path import dijkstra, preference_dijkstra
 
 
-@pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
-
-
 def test_road_type_vocab():
     assert len(ROAD_TYPES) == 6
     assert RT_CODE["motorway"] == 0
@@ -146,8 +141,6 @@ def test_city_deterministic():
 
 
 def test_spark_dfs(city, spark):
-    v = city.net.vertices_df(spark)
     e = city.net.edges_df(spark)
-    assert v.count() == city.net.n_vertices
     assert e.count() == city.net.n_edges
     assert set(e.columns) == {"eid", "u", "v", "dist", "rt", "tt", "fc"}

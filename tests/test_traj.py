@@ -1,31 +1,16 @@
-"""Tests for the trajectory substrate: generator, GPS, map matching, stats."""
+"""Tests for the trajectory substrate: generator and Table II stats."""
 import numpy as np
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.roadnet.generator import make_city
 from repro.traj.generator import (
     PREF_TABLE,
-    Trajectory,
     generate_trajectories,
     latent_preference,
     split_train_test,
     trajectories_df,
 )
-from repro.traj.gps import sample_gps
-from repro.traj.mapmatch import map_match
 from repro.traj.stats import D2_BUCKETS, distance_table, distance_table_pdf
-from repro.eval.similarity import psim
-
-
-@pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
-
-
-@pytest.fixture(scope="module")
-def trajs(city):
-    return generate_trajectories(city, n=150, n_drivers=15, seed=11)
 
 
 def test_generator_count_and_ids(trajs):
@@ -102,38 +87,6 @@ def test_trajectories_df(spark, trajs):
     assert df.count() == 50
     row = df.first()
     assert isinstance(row["path"], list)
-
-
-# -- GPS + map matching -----------------------------------------------------
-@pytest.mark.parametrize("hz,noise", [(0.5, 5.0), (0.1, 8.0)])
-def test_gps_sampling(city, trajs, hz, noise):
-    t = max(trajs, key=lambda t: t.dist_m)
-    gps = sample_gps(city.net, t.path, hz=hz, noise_m=noise, seed=1)
-    assert gps.shape[1] == 3
-    assert (np.diff(gps[:, 2]) > 0).all()  # time-ordered
-    # Fixes stay near the path corridor.
-    d = np.linalg.norm(gps[0, :2] - city.net.xy[t.path[0]])
-    assert d < 6 * noise
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_map_match_recovers_path(city, trajs, seed):
-    """High-frequency, low-noise GPS should map-match close to the truth."""
-    t = trajs[seed * 7 % len(trajs)]
-    if len(t.path) < 5:
-        pytest.skip("trivial path")
-    gps = sample_gps(city.net, t.path, hz=0.5, noise_m=5.0, seed=seed)
-    matched = map_match(city.net, gps)
-    city.net.path_edges(matched)  # contiguous
-    assert psim(city.net, t.path, matched) > 0.6
-
-
-def test_map_match_low_frequency(city, trajs):
-    """Low-frequency (D2-like) matching still yields a usable path."""
-    t = max(trajs, key=lambda t: t.dist_m)
-    gps = sample_gps(city.net, t.path, hz=0.05, noise_m=10.0, seed=2)
-    matched = map_match(city.net, gps)
-    assert psim(city.net, t.path, matched) > 0.3
 
 
 # -- Table II statistics ----------------------------------------------------

@@ -1,15 +1,13 @@
 """Tests for Step 2 — preference transfer via graph transduction (Sec. V-B)."""
+import copy
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import transfer
-from repro.core.clustering import bottom_up_clustering
-from repro.core.popularity import edge_popularity_array
-from repro.core.preference import learn_t_edge_preferences
-from repro.core.region_graph import RegionEdge, RegionGraph, build_region_graph
+from repro.core.region_graph import RegionEdge, RegionGraph
 from repro.core.transfer import (
-    AMR_DEFAULT,
     P_FEATURES,
     _conjugate_gradient,
     _decode,
@@ -25,9 +23,7 @@ from repro.core.transfer import (
     transfer_cv_experiment,
 )
 from repro.oracle import assert_equivalent
-from repro.roadnet.generator import make_city
 from repro.roadnet.model import COSTS
-from repro.traj.generator import generate_trajectories, trajectories_df
 
 
 # -- numerics ---------------------------------------------------------------
@@ -99,10 +95,10 @@ FIG7_EDGES = {
 FIG7_LABELED = {(0, 1): ("DI", 5), (0, 4): ("TT", 0)}
 
 
-def test_transfer_on_tiny_graph(spark):
+def test_transfer_on_tiny_graph():
     """Paper Fig. 7 scenario: two labeled T-edges, two B-edges; each B-edge
     must inherit the preference of its similar T-edge."""
-    preds, elapsed = run_transfer(spark, _tiny_rg(FIG7_EDGES), FIG7_LABELED, amr=0.5)
+    preds, elapsed = run_transfer(_tiny_rg(FIG7_EDGES), FIG7_LABELED, amr=0.5)
     assert elapsed >= 0
     # (2,3) is similar to (0,1): same dis (1000 m) and same 𝔽 sets.
     assert preds[(2, 3)] == ("DI", 5)
@@ -110,15 +106,14 @@ def test_transfer_on_tiny_graph(spark):
     assert preds[(4, 5)] == ("TT", 0)
 
 
-# Step 2 runs driver-side, so the edge cases below pass no Spark session.
 def test_transfer_no_pair_above_amr():
     """reSim ≤ 1, so amr 1.01 leaves every edge disconnected: null prefs."""
-    preds, _ = run_transfer(None, _tiny_rg(FIG7_EDGES), FIG7_LABELED, amr=1.01)
+    preds, _ = run_transfer(_tiny_rg(FIG7_EDGES), FIG7_LABELED, amr=1.01)
     assert preds == {(2, 3): None, (4, 5): None}
 
 
 def test_transfer_without_labels():
-    preds, _ = run_transfer(None, _tiny_rg(FIG7_EDGES), {}, amr=0.5)
+    preds, _ = run_transfer(_tiny_rg(FIG7_EDGES), {}, amr=0.5)
     assert preds == {k: None for k in FIG7_EDGES}
 
 
@@ -128,27 +123,17 @@ def test_transfer_degenerate_region_graph(n_edges):
     rg = _tiny_rg(edges)
     i, j, sim = similarity_pairs(*edge_features(rg)[1:], amr=0.0)
     assert len(i) == len(j) == len(sim) == 0
-    preds, _ = run_transfer(None, rg, {}, amr=0.0)
+    preds, _ = run_transfer(rg, {}, amr=0.0)
     assert preds == {k: None for k in edges}
     labeled = {k: ("FC", 1) for k in edges}
-    assert run_transfer(None, rg, labeled, amr=0.0)[0] == {}
+    assert run_transfer(rg, labeled, amr=0.0)[0] == {}
 
 
 # -- pipeline-level -------------------------------------------------------
 @pytest.fixture(scope="module")
-def city():
-    return make_city(grid_n=20, cell_m=250.0, zone_cells=5, seed=7)
-
-
-@pytest.fixture(scope="module")
-def built(city, spark):
-    trajs = generate_trajectories(city, n=150, n_drivers=15, seed=11)
-    traj_df = trajectories_df(spark, trajs)
-    pop = edge_popularity_array(traj_df, city.net, spark)
-    regions = bottom_up_clustering(city.net, pop)
-    rg = build_region_graph(spark, city.net, regions, traj_df)
-    learn_t_edge_preferences(spark, city.net, rg)
-    return rg
+def built(learned):
+    """Step 1's region graph, copied: Step 2 below writes B-edge prefs."""
+    return copy.deepcopy(learned[0])
 
 
 def test_region_edge_features(spark, built):
@@ -216,7 +201,7 @@ def test_pairwise_similarity_threshold(spark, built):
 
 
 def test_transfer_fills_b_edges(spark, built):
-    preds = transfer_b_edge_preferences(spark, built, amr=AMR_DEFAULT)
+    preds = transfer_b_edge_preferences(built)
     b_edges = [e for e in built.edges.values() if e.kind == "B"]
     assert b_edges
     n_filled = sum(1 for e in b_edges if e.pref is not None)
