@@ -12,51 +12,72 @@ solve, by the paper's coordinate-descent:
    modified Dijkstra (Alg. 2) under the chosen master; keep the slave only
    if it strictly improves the summed similarity.
 
-Learning is embarrassingly parallel across T-edges, so it runs as a Spark
-``applyInPandas`` over the T-edge path rows with the road network and its
-three weight arrays broadcast once. Per-path preferences (for the Fig. 6(a)
-statistics) are computed in the same pass.
+The searches are done by source vertex, not by T-edge: payload paths start
+at transfer centers, which many T-edges share. For each source, one
+multi-target search per master (full CSR) and per (master, slave) (gated
+CSR) scores every path from that source in a pSim *grid* of 3 masters ×
+[master, 6 slaves]; a T-edge's fit then only reads its paths' grids. A
+gated search that never settles a destination is a trapped Alg. 2 search,
+whose answer is the master path already scored in the grid's master column.
+The sources are a Spark ``mapInPandas`` fan-out with the road network, its
+three weight arrays and the paths broadcast once. Per-path preferences (for
+the Fig. 6(a) statistics) come from the same grids.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from ..roadnet.model import COSTS, ROAD_TYPES, RoadNetwork
-from ..roadnet.shortest_path import dijkstra, preference_dijkstra
+from ..roadnet.shortest_path import _search
 from ..eval.similarity import psim
 from .region_graph import RegionGraph
 
 SLAVES = list(range(len(ROAD_TYPES)))  # candidate slave road-type codes
 
 
-def _best_preference(
-    net: RoadNetwork, paths: list[list[int]], weights: dict[str, np.ndarray]
+def _source_grids(
+    net: RoadNetwork, src: int, paths: list[list[int]], weights: dict[str, np.ndarray]
+) -> np.ndarray:
+    """pSim grids of ground-truth paths that all start at ``src``.
+
+    Returns an array of shape (len(paths), len(COSTS), 1 + len(SLAVES)):
+    ``[k, ci, 0]`` scores path k's lowest-cost path under master ``COSTS[ci]``
+    (0 if unreachable) and ``[k, ci, 1 + rt]`` its Alg. 2 path under
+    ⟨COSTS[ci], rt⟩, which is the master path where the gate traps.
+    """
+    targets = {p[-1] for p in paths}
+    out = np.zeros((len(paths), len(COSTS), 1 + len(SLAVES)))
+    for ci, c in enumerate(COSTS):
+        w = weights[c]
+        plain = _search(net.indptr, net.nbr, net.nbr_edge, src, targets, w)
+        gated = [_search(*net.gated_csr(rt), src, targets, w) for rt in SLAVES]
+        for k, gt in enumerate(paths):
+            d = gt[-1]
+            base = psim(net, gt, plain[d][0]) if d in plain else 0.0
+            out[k, ci, 0] = base
+            for rt, res in zip(SLAVES, gated):
+                out[k, ci, 1 + rt] = psim(net, gt, res[d][0]) if d in res else base
+    return out
+
+
+def _decide(
+    grids: list[np.ndarray],
 ) -> tuple[str, int | None, float, list[tuple[str, int | None]]]:
-    """Coordinate-descent preference fit over a path set.
+    """Coordinate-descent preference fit of a path set from its paths' grids.
 
     Returns (master, slave_rt_or_None, mean pSim of the fitted preference,
     per-path individually fitted preferences).
     """
-    ods = [(p[0], p[-1]) for p in paths]
+    g = np.stack(grids, axis=-1)  # (masters, 1 + slaves, paths)
     # Master dimension: score each cost feature on all paths.
-    sims = np.zeros((len(COSTS), len(paths)))
-    for ci, c in enumerate(COSTS):
-        for pi, ((s, d), gt) in enumerate(zip(ods, paths)):
-            res = dijkstra(net, s, d, weights[c])
-            sims[ci, pi] = psim(net, gt, res[0]) if res else 0.0
+    sims = g[:, 0].copy()
     master_i = int(np.argmax(sims.sum(axis=1)))
     master = COSTS[master_i]
     base = sims[master_i].copy()
     # Slave dimension: try each road type under the chosen master.
-    slave_sims = {}
-    for rt in SLAVES:
-        row = np.zeros(len(paths))
-        for pi, ((s, d), gt) in enumerate(zip(ods, paths)):
-            res = preference_dijkstra(net, s, d, weights[master], rt)
-            row[pi] = psim(net, gt, res[0]) if res else 0.0
-        slave_sims[rt] = row
+    slave_sims = {rt: g[master_i, 1 + rt].copy() for rt in SLAVES}
     best_rt, best_gain = None, 0.0
     for rt, row in slave_sims.items():
         gain = row.sum() - base.sum()
@@ -65,69 +86,92 @@ def _best_preference(
     score = (slave_sims[best_rt] if best_rt is not None else base).mean()
     # Per-path preferences (Fig. 6(a) statistic: unique preferences per T-edge).
     per_path: list[tuple[str, int | None]] = []
-    for pi in range(len(paths)):
+    for pi in range(len(grids)):
         m_i = int(np.argmax(sims[:, pi]))
         m = COSTS[m_i]
         b = sims[m_i, pi]
         s_best, s_val = None, b
         for rt in SLAVES:
-            # Reuse the chosen-master rows when applicable; otherwise skip —
-            # per-path stats only need the dominant pattern, and recomputing
-            # all 3×6 combinations per path would triple the Dijkstra count.
+            # Only the chosen master's slave rows count, as in the T-edge fit:
+            # per-path stats need the dominant pattern only.
             if m == master and slave_sims[rt][pi] > s_val + 1e-12:
                 s_best, s_val = rt, slave_sims[rt][pi]
         per_path.append((m, s_best))
     return master, best_rt, float(score), per_path
 
 
-def t_edge_paths_df(spark: SparkSession, rg: RegionGraph) -> DataFrame:
-    """DataFrame of T-edge path rows: ra, rb, path, cnt."""
-    rows = {"ra": [], "rb": [], "path": [], "cnt": []}
-    for (a, b), e in rg.edges.items():
-        if e.kind != "T":
-            continue
-        for p, c in e.paths:
-            rows["ra"].append(a); rows["rb"].append(b); rows["path"].append(p); rows["cnt"].append(c)
-    return spark.createDataFrame(pd.DataFrame(rows))
+def _by_source(paths: list[list[int]]) -> dict[int, list[int]]:
+    """Indices of ``paths`` grouped by their first vertex."""
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(paths):
+        groups.setdefault(p[0], []).append(i)
+    return groups
+
+
+def fit_preference(
+    net: RoadNetwork, paths: list[list[int]], weights: dict[str, np.ndarray]
+) -> tuple[str, int | None, float, list[tuple[str, int | None]]]:
+    """Fit one path set on the driver: ``_decide`` over its ``_source_grids``."""
+    grids: dict[int, np.ndarray] = {}
+    for src, idx in _by_source(paths).items():
+        grids.update(zip(idx, _source_grids(net, src, [paths[i] for i in idx], weights)))
+    return _decide([grids[i] for i in range(len(paths))])
 
 
 def learn_t_edge_preferences(
     spark: SparkSession, net: RoadNetwork, rg: RegionGraph, peak: bool = False
 ) -> pd.DataFrame:
-    """Learn ⟨master, slave⟩ per T-edge via Spark applyInPandas fan-out.
+    """Learn ⟨master, slave⟩ per T-edge: grids by source on Spark, one
+    ``mapInPandas`` task per core, then ``_decide`` per T-edge on the driver.
 
-    Returns a pandas frame: ra, rb, master, slave (−1 for None), score,
-    n_paths, n_unique_prefs; also writes the preferences into ``rg.edges``.
+    Returns a pandas frame sorted by (ra, rb): ra, rb, master, slave (−1 for
+    None), score, n_paths, n_unique_prefs; also writes the preferences into
+    ``rg.edges``.
     """
-    pdf_in = t_edge_paths_df(spark, rg)
-    bc = spark.sparkContext.broadcast((net, {c: net.weights(c, peak=peak) for c in COSTS}))
+    t_edges = [(k, [p for p, _ in e.paths]) for k, e in sorted(rg.edges.items()) if e.kind == "T"]
+    pid: dict[tuple[int, ...], int] = {}
+    for _, paths in t_edges:
+        for p in paths:
+            pid.setdefault(tuple(p), len(pid))
+    uniq = [list(p) for p in pid]
+    grid: dict[int, np.ndarray] = {}
+    if uniq:
+        groups = _by_source(uniq)
+        work = pd.DataFrame({"src": list(groups), "pids": list(groups.values())})
+        bc = spark.sparkContext.broadcast((net, {c: net.weights(c, peak=peak) for c in COSTS}, uniq))
 
-    def fit(key, pdf):  # untyped on purpose: pyspark's eval-type inference
-        # warns on partially-hinted applyInPandas callables
-        net_w, weights = bc.value
-        paths = [list(map(int, p)) for p in pdf["path"]]
-        master, slave, score, per_path = _best_preference(net_w, paths, weights)
-        uniq = len({pp for pp in per_path})
-        return pd.DataFrame(
-            {
-                "ra": [key[0]], "rb": [key[1]],
-                "master": [master],
-                "slave": [-1 if slave is None else int(slave)],
-                "score": [score],
-                "n_paths": [len(paths)],
-                "n_unique_prefs": [uniq],
-            }
+        def gen(batches):
+            net_w, weights, paths_w = bc.value
+            for pdf in batches:
+                out = {"pid": [], "grid": []}
+                for r in pdf.itertuples(index=False):
+                    ids = [int(i) for i in r.pids]
+                    g = _source_grids(net_w, int(r.src), [paths_w[i] for i in ids], weights)
+                    out["pid"].extend(ids)
+                    out["grid"].extend(g.reshape(len(ids), -1).tolist())
+                yield pd.DataFrame(out)
+
+        rows = (
+            spark.createDataFrame(work)
+            .repartition(max(2, spark.sparkContext.defaultParallelism))
+            .mapInPandas(gen, schema="pid long, grid array<double>")
+            .toPandas()
         )
-
-    out = (
-        pdf_in.groupBy("ra", "rb")
-        .applyInPandas(fit, schema="ra long, rb long, master string, slave int, score double, n_paths long, n_unique_prefs long")
-        .toPandas()
+        shape = (len(COSTS), 1 + len(SLAVES))
+        grid = {int(i): np.asarray(g, dtype=np.float64).reshape(shape) for i, g in zip(rows.pid, rows.grid)}
+    out = {k: [] for k in ("ra", "rb", "master", "slave", "score", "n_paths", "n_unique_prefs")}
+    for (a, b), paths in t_edges:
+        master, slave, score, per_path = _decide([grid[pid[tuple(p)]] for p in paths])
+        rg.edges[(a, b)].pref = (master, slave)
+        out["ra"].append(a); out["rb"].append(b)
+        out["master"].append(master)
+        out["slave"].append(-1 if slave is None else slave)
+        out["score"].append(score)
+        out["n_paths"].append(len(paths))
+        out["n_unique_prefs"].append(len(set(per_path)))
+    return pd.DataFrame(out).astype(
+        {"ra": "int64", "rb": "int64", "slave": "int32", "score": "float64", "n_paths": "int64", "n_unique_prefs": "int64"}
     )
-    for _, r in out.iterrows():
-        e = rg.edges[(int(r.ra), int(r.rb))]
-        e.pref = (r.master, None if r.slave < 0 else int(r.slave))
-    return out
 
 
 def preference_distribution(prefs: pd.DataFrame) -> pd.DataFrame:

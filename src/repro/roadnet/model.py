@@ -67,6 +67,7 @@ class RoadNetwork:
 
     def __post_init__(self):
         self._gated: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._edge_at: dict[tuple[int, int], int] | None = None
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -152,14 +153,22 @@ class RoadNetwork:
         return self._gated[rt]
 
     def path_edges(self, path: list[int]) -> np.ndarray:
-        """Edge ids traversed by a vertex path (adjacent-pair lookup)."""
+        """Edge ids traversed by a vertex path (adjacent-pair lookup).
+
+        Each pair (a, b) maps to the edge in the first of a's CSR slots that
+        leads to b. The map is built on the first call and cached on the
+        instance; a non-adjacent pair raises ``ValueError``.
+        """
+        if self._edge_at is None:
+            owner = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr)).tolist()
+            slots = list(zip(zip(owner, self.nbr.tolist()), self.nbr_edge.tolist()))
+            self._edge_at = dict(reversed(slots))  # the first slot is written last
         out = []
         for a, b in zip(path, path[1:]):
-            nb, ne = self.neighbors(a)
-            hit = ne[nb == b]
-            if len(hit) == 0:
+            e = self._edge_at.get((a, b))
+            if e is None:
                 raise ValueError(f"no edge between {a} and {b}")
-            out.append(hit[0])
+            out.append(e)
         return np.asarray(out, dtype=np.int64)
 
     def path_length(self, path: list[int]) -> float:

@@ -11,10 +11,11 @@ otherwise all are.
 The gate depends only on the vertex, so each slave road type defines a
 fixed sub-graph (:meth:`repro.roadnet.model.RoadNetwork.gated_csr`), and
 both engines run the same search loop: ``dijkstra`` on the network's CSR
-arrays, ``preference_dijkstra`` on the gated CSR. The loop terminates
-early when the destination is settled and needs nothing but numpy arrays,
-so it runs inside Spark workers on a broadcast network with no JVM
-round-trips.
+arrays, ``preference_dijkstra`` on the gated CSR. The loop takes a set of
+destinations and stops once all of them are settled, so Step 1 gets every
+destination of one source from a single search; the engines pass one. It
+needs nothing but numpy arrays, so it runs inside Spark workers on a
+broadcast network with no JVM round-trips.
 """
 from __future__ import annotations
 
@@ -35,22 +36,33 @@ def _reconstruct(parent: dict[int, int], dst: int) -> list[int]:
 
 def _search(
     indptr: np.ndarray, nbr: np.ndarray, nbr_edge: np.ndarray,
-    src: int, dst: int, w: np.ndarray,
-) -> tuple[list[int], float] | None:
-    """Dijkstra from ``src`` to ``dst`` over CSR arrays; ``None`` if unreached."""
-    if src == dst:
-        return [src], 0.0
+    src: int, targets, w: np.ndarray,
+) -> dict[int, tuple[list[int], float]]:
+    """Dijkstra from ``src`` over CSR arrays until every vertex of ``targets``
+    is settled.
+
+    Returns ``{target: (vertex path, cost)}`` for each reached target; an
+    unreached target is absent. The order in which vertices are settled does
+    not depend on ``targets``, which only decide when the search stops, so
+    each target gets the (path, cost), ties included, that a search for it
+    alone would give.
+    """
+    todo = set(targets)
+    found: dict[int, tuple[list[int], float]] = {}
     INF = np.inf
     dist = {src: 0.0}
     parent = {src: -1}
     done = set()
     pq: list[tuple[float, int]] = [(0.0, src)]
-    while pq:
+    while pq and todo:
         d, u = heapq.heappop(pq)
         if u in done:
             continue
-        if u == dst:
-            return _reconstruct(parent, dst), d
+        if u in todo:
+            found[u] = (_reconstruct(parent, u), d)
+            todo.discard(u)
+            if not todo:
+                break
         done.add(u)
         lo, hi = indptr[u], indptr[u + 1]
         for x, e in zip(nbr[lo:hi], nbr_edge[lo:hi]):
@@ -62,7 +74,7 @@ def _search(
                 dist[x] = nd
                 parent[x] = u
                 heapq.heappush(pq, (nd, x))
-    return None
+    return found
 
 
 def dijkstra(
@@ -72,7 +84,7 @@ def dijkstra(
 
     Returns ``(vertex path, cost)`` or ``None`` if unreachable.
     """
-    return _search(net.indptr, net.nbr, net.nbr_edge, src, dst, w)
+    return _search(net.indptr, net.nbr, net.nbr_edge, src, (dst,), w).get(dst)
 
 
 def preference_dijkstra(
@@ -99,7 +111,7 @@ def preference_dijkstra(
     weights (the same fallback the paper applies to null preferences).
     """
     if slave_rt is not None:
-        res = _search(*net.gated_csr(slave_rt), src, dst, master_w)
+        res = _search(*net.gated_csr(slave_rt), src, (dst,), master_w).get(dst)
         if res is not None:
             return res
     # Through the module-level name, so that wrapping ``dijkstra`` counts

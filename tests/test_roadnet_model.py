@@ -99,6 +99,21 @@ def test_path_edges_invalid_pair_raises(city):
         city.net.path_edges([0, city.net.n_vertices - 1])
 
 
+def test_path_edges_is_first_slot_lookup(city):
+    """Every CSR slot pair (a, b) maps to ``ne[nb == b][0]`` of a's slots,
+    also where parallel edges join a and b."""
+    parallel = RoadNetwork.from_edges(
+        np.array([[0.0, 0], [1, 0], [2, 0]]), [0, 0, 1, 1], [1, 1, 2, 0], [1.0, 2.0, 1.0, 3.0], [5, 5, 5, 5]
+    )
+    for net in (city.net, parallel):
+        for a in range(net.n_vertices):
+            nb, ne = net.neighbors(a)
+            for b in nb:
+                assert net.path_edges([a, int(b)]).tolist() == [ne[nb == b][0]]
+        with pytest.raises(ValueError):
+            net.path_edges([0, 1, 1])
+
+
 def test_pickle_roundtrip_keeps_gated_csr(city):
     """The Spark fan-outs broadcast the network itself, gated CSRs included."""
     net = city.net

@@ -232,8 +232,32 @@ def test_kernels_match_reference(city, master):
             got = preference_dijkstra(net, s, d, w, rt)
             assert got == _ref_preference_dijkstra(net, s, d, w, rt), (s, d, rt)
             if rt is not None:
-                trapped += sp._search(*net.gated_csr(rt), s, d, w) is None
+                trapped += d not in sp._search(*net.gated_csr(rt), s, (d,), w)
     assert trapped > 0
+
+
+@pytest.mark.parametrize("master", COSTS)
+def test_multi_target_search_matches_point_search(city, master):
+    """One search from s to the corpus's destinations (s among them) gives
+    each destination the (path, cost) of a point search, ties included, on
+    the full CSR and on every gated CSR; unreached destinations are absent."""
+    net = city.net
+    w = net.weights(master)
+    g = np.random.default_rng(2018)
+    ods = [(int(s), int(d)) for s, d in g.integers(0, net.n_vertices, size=(100, 2))]
+    dests = [d for _, d in ods]
+    unreached = 0
+    for s, _ in ods[:10]:
+        targets = {s, *dests}
+        for csr in [(net.indptr, net.nbr, net.nbr_edge), *map(net.gated_csr, range(len(ROAD_TYPES)))]:
+            multi = sp._search(*csr, s, targets, w)
+            assert set(multi) <= targets
+            assert multi[s] == ([s], 0.0)
+            for d in targets:
+                point = sp._search(*csr, s, (d,), w)
+                assert multi.get(d) == point.get(d), (s, d)
+            unreached += len(targets) - len(multi)
+    assert unreached > 0
 
 
 def test_gated_csr(city):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.oracle import assert_equivalent
+from repro.roadnet.generator import make_city
 from repro.traj.generator import (
     PREF_TABLE,
     generate_trajectories,
@@ -53,13 +54,21 @@ def test_peak_share(trajs):
         assert (t.dep_hour in (7, 8, 16, 17)) == t.peak
 
 
+@pytest.fixture(scope="module")
+def zoned_city():
+    """A 6×6-zone city. The shared 4×4-zone city has no business zone: its
+    zones lie 0.5 (centre) or 1.5 zones from the middle, outside the
+    business band of 4/3."""
+    return make_city(grid_n=24, cell_m=250.0, zone_cells=4, seed=7)
+
+
 @pytest.mark.parametrize("fs,fd", list(PREF_TABLE.keys()))
-def test_latent_preference_table(city, fs, fd):
-    # Find a short od pair with the requested functionalities, if present.
+def test_latent_preference_table(zoned_city, fs, fd):
+    # Find a short od pair with the requested functionalities.
+    city = zoned_city
     zs = [z for z, f in enumerate(city.zone_func) if f == fs]
     zd = [z for z, f in enumerate(city.zone_func) if f == fd]
-    if not zs or not zd:
-        pytest.skip("functionality not present in this city layout")
+    assert zs and zd, "functionality not present in this city layout"
     s = int(np.flatnonzero(city.zone_of == zs[0])[0])
     d = int(np.flatnonzero(city.zone_of == zd[0])[0])
     pref = latent_preference(city, s, d)
