@@ -13,6 +13,11 @@ Case 2 — an endpoint outside every region: run a fastest-path probe from
 s to d, take the first/last region it touches as candidate R_s/R_d, route
 Case 1 between the touch points and splice the fastest on/off ramps; if
 fewer than two candidate regions exist, return the fastest path.
+
+Two tables are built once per router, so once per period: a landmark table
+of TT distances that gives the detour guard a lower bound on the
+fastest cost (the ALT bound of Goldberg & Harrelson, SODA 2005), and the
+region-edge payloads per orientation with their TT costs.
 """
 from __future__ import annotations
 
@@ -21,8 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..roadnet.model import RoadNetwork
-from ..roadnet.shortest_path import dijkstra
+from ..roadnet.shortest_path import _search, dijkstra
 from .region_graph import RegionGraph
+
+# Work counters of L2RRouter.counters: queries per case (they sum to the
+# queries routed), kernel calls per purpose (they sum to the calls of the
+# module-level ``dijkstra``), and what the detour guard and the
+# ``path_edges`` fallback of Case 1 did.
+COUNTERS = (
+    "queries.same_vertex", "queries.same_region", "queries.cross_region", "queries.case2",
+    "kernel.guard", "kernel.connector", "kernel.probe", "kernel.fallback",
+    "guard.landmark_skips", "guard.rejections", "case1.path_edges_fallbacks",
+)
 
 
 def _dedupe(path: list[int]) -> list[int]:
@@ -33,12 +48,55 @@ def _dedupe(path: list[int]) -> list[int]:
     return out
 
 
+def landmark_table(net: RoadNetwork, w: np.ndarray, k: int) -> np.ndarray:
+    """(n_vertices, k) costs under ``w`` from k farthest-point landmarks.
+
+    The first landmark is vertex 0; each next one is the vertex farthest
+    from its nearest landmark so far. A vertex that no landmark reaches is
+    farthest of all, so every component gets a landmark while there are
+    landmarks to place. Unreached entries are inf.
+    """
+    n = net.n_vertices
+
+    def costs(src: int) -> np.ndarray:
+        out = np.full(n, np.inf)
+        for v, (_, c) in _search(net.indptr, net.nbr, net.nbr_edge, src, range(n), w).items():
+            out[v] = c
+        return out
+
+    cols = [costs(0)]
+    nearest = cols[0]
+    while len(cols) < min(k, n):
+        cols.append(costs(int(np.argmax(nearest))))
+        nearest = np.minimum(nearest, cols[-1])
+    return np.stack(cols, axis=1)
+
+
+def landmark_bound(table: np.ndarray, s: int, d: int, margin: float) -> float:
+    """Lower bound on the s→d cost from a ``landmark_table``.
+
+    On an undirected network the triangle inequality gives
+    cost(s, d) ≥ |cost(L, s) − cost(L, d)| for every landmark L. Each term is
+    lowered by ``margin`` times the larger cost, so that the rounding of the
+    summed edge weights cannot lift it above a summed path cost; landmarks
+    that do not reach both s and d are skipped (the bound is then 0).
+    """
+    a, b = table[s], table[d]
+    ok = np.isfinite(a) & np.isfinite(b)
+    if not ok.any():
+        return 0.0
+    a, b = a[ok], b[ok]
+    return float((np.abs(a - b) - margin * np.maximum(a, b)).max())
+
+
 @dataclass
 class L2RRouter:
     """The learn-to-route router over a built region graph.
 
     Holds only numpy arrays, dicts and lists, so it pickles cheaply into
-    Spark workers for the evaluation fan-out.
+    Spark workers for the evaluation fan-out, tables included: unpickling
+    does not rebuild them. ``counters`` (keys in ``COUNTERS``) counts the
+    work of the queries routed so far.
     """
 
     net: RoadNetwork
@@ -55,9 +113,16 @@ class L2RRouter:
     # Seconds per straight-line metre for connector estimates (priced at a
     # typical secondary-road speed).
     CONNECTOR_S_PER_M = 1.0 / (60.0 / 3.6)
+    # Landmarks of the detour guard's lower bound, and the relative margin
+    # that keeps float rounding from lifting the bound above a path cost.
+    LANDMARKS = 8
+    LANDMARK_MARGIN = 1e-9
 
     def __post_init__(self):
         self._tt = self.net.travel_time(peak=self.peak)
+        self.counters = dict.fromkeys(COUNTERS, 0)
+        self._landmarks = landmark_table(self.net, self._tt, self.LANDMARKS)
+        self._payloads = self._payload_table()
         # Adjacency of the region graph for the greedy search.
         nbrs: dict[int, set[int]] = {}
         for (a, b) in self.rg.edges:
@@ -95,6 +160,28 @@ class L2RRouter:
                     heapq.heappush(pq, (float(np.linalg.norm(cent[r] - target)), r))
         return None
 
+    def _payload_table(self) -> dict[tuple[int, int], list[tuple[list[int], int, float]]]:
+        """(a, b) → [(path oriented a→b, count, TT cost)] for every region
+        edge with payloads, in both orientations.
+
+        Each cost is summed over the oriented path, as a query would sum it:
+        a reversed sum can differ in the last bit. Every stored payload is a
+        contiguous road path (a trajectory sub-path or a Step-3 Dijkstra
+        path), so ``path_edges`` cannot raise.
+        """
+        vr = self.rg.vertex_region
+        table = {}
+        for (ra, rb), e in self.rg.edges.items():
+            if not e.paths:
+                continue
+            for a, b in ((ra, rb), (rb, ra)):
+                rows = []
+                for path, cnt in e.paths:
+                    p = path[::-1] if vr[path[0]] == b or vr[path[-1]] == a else list(path)
+                    rows.append((p, cnt, float(self._tt[self.net.path_edges(p)].sum())))
+                table[(a, b)] = rows
+        return table
+
     def _edge_road_path(self, a: int, b: int, cur: int, dest: int) -> list[int] | None:
         """Select region edge (a, b)'s payload path for a traveller now at
         ``cur`` heading for ``dest``.
@@ -107,25 +194,13 @@ class L2RRouter:
         popularity). The cost filter removes through-trip payloads that
         would imply large detours for this particular query; popularity
         then selects what local drivers collectively chose."""
-        e = self.rg.edge(a, b)
-        if e is None or not e.paths:
+        rows = self._payloads.get((a, b))
+        if rows is None:
             return None
         xy = self.net.xy
-        vr = self.rg.vertex_region
-        w = self._tt
         per_m = self.CONNECTOR_S_PER_M
-
-        def oriented(path: list[int]) -> list[int]:
-            if vr[path[0]] == b or vr[path[-1]] == a:
-                return path[::-1]
-            return list(path)
-
         cands = []
-        # Every stored payload is a contiguous road path (a trajectory
-        # sub-path or a Step-3 Dijkstra path), so path_edges cannot raise.
-        for path, cnt in e.paths:
-            p = oriented(path)
-            payload_cost = float(w[self.net.path_edges(p)].sum())
+        for p, cnt, payload_cost in rows:
             connector = float(
                 np.linalg.norm(xy[p[0]] - xy[cur]) + np.linalg.norm(xy[p[-1]] - xy[dest])
             )
@@ -134,7 +209,10 @@ class L2RRouter:
         ok = [x for x in cands if x[2] <= self.PAYLOAD_FILTER * min_cost]
         return max(ok, key=lambda x: (x[1], -x[2]))[0]
 
-    def _fastest(self, s: int, d: int) -> list[int]:
+    def _fastest(self, s: int, d: int, kind: str = "kernel.fallback") -> list[int]:
+        """Fastest path, counted as one kernel call of purpose ``kind``; the
+        default is a fastest path returned as the answer."""
+        self.counters[kind] += 1
         res = dijkstra(self.net, s, d, self._tt)
         return res[0] if res else [s]
 
@@ -149,7 +227,7 @@ class L2RRouter:
             inner = self._inner_connect(int(vr[u]), u, v)
             if inner is not None:
                 return inner
-        return self._fastest(u, v)
+        return self._fastest(u, v, "kernel.connector")
 
     def _inner_connect(self, region: int, u: int, v: int) -> list[int] | None:
         best, best_cnt = None, 0
@@ -188,19 +266,27 @@ class L2RRouter:
         full = _dedupe(full)
         # Detour guard: reject stitched routes that cost far more than the
         # fastest path (payloads of long through-trips can loop the city).
-        # A straight-line lower bound on the fastest cost gates the exact
-        # check, so the common (non-detouring) case never pays a full
-        # Dijkstra and L2R keeps its small-graph efficiency edge (Fig. 12).
+        # The exact check needs a full s→d Dijkstra. It runs only when the
+        # route costs more than MAX_DETOUR times each of two lower bounds on
+        # the fastest cost, straight-line at 110 km/h and the landmark bound;
+        # below either, the check could not reject, so skipping it leaves
+        # every answer as it was.
         try:
             cost = self._tt[self.net.path_edges(full)].sum()
         except ValueError:
+            self.counters["case1.path_edges_fallbacks"] += 1
             return self._fastest(s, d)
         lb = float(np.linalg.norm(self.net.xy[s] - self.net.xy[d])) / (110.0 / 3.6)
-        if cost > self.MAX_DETOUR * lb:
-            fastest = self._fastest(s, d)
-            fast_cost = self._tt[self.net.path_edges(fastest)].sum()
-            if fast_cost > 0 and cost > self.MAX_DETOUR * fast_cost:
-                return fastest
+        if cost <= self.MAX_DETOUR * lb:
+            return full
+        if cost <= self.MAX_DETOUR * landmark_bound(self._landmarks, s, d, self.LANDMARK_MARGIN):
+            self.counters["guard.landmark_skips"] += 1
+            return full
+        fastest = self._fastest(s, d, "kernel.guard")
+        fast_cost = self._tt[self.net.path_edges(fastest)].sum()
+        if fast_cost > 0 and cost > self.MAX_DETOUR * fast_cost:
+            self.counters["guard.rejections"] += 1
+            return fastest
         return full
 
     # -- public API --------------------------------------------------------
@@ -213,13 +299,16 @@ class L2RRouter:
         ignored here.
         """
         if s == d:
+            self.counters["queries.same_vertex"] += 1
             return [s]
         vr = self.rg.vertex_region
         rs, rd = int(vr[s]), int(vr[d])
         if rs >= 0 and rd >= 0:
+            self.counters["queries.same_region" if rs == rd else "queries.cross_region"] += 1
             return self._case1(s, d, rs, rd)
         # Case 2: probe with the fastest path, find candidate regions.
-        probe = self._fastest(s, d)
+        self.counters["queries.case2"] += 1
+        probe = self._fastest(s, d, "kernel.probe")
         regs = vr[np.asarray(probe, dtype=np.int64)]
         hits = np.flatnonzero(regs >= 0)
         if len(hits) == 0:

@@ -2,18 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import build_l2r
 from repro.core.routing import _dedupe
 from repro.eval.similarity import psim
 from repro.roadnet.shortest_path import dijkstra
 from repro.traj.generator import generate_trajectories, split_train_test
-
-
-@pytest.fixture(scope="module")
-def arts(city, spark):
-    trajs = generate_trajectories(city, n=200, n_drivers=20, seed=11)
-    train, _ = split_train_test(trajs, test_frac=0.2, seed=13)
-    return build_l2r(spark, city, train)
 
 
 def test_pipeline_timings_recorded(arts):
@@ -45,15 +37,30 @@ def test_b_edge_paths_touch_both_regions(arts):
 
 def test_every_payload_is_a_road_path(city, arts):
     """The router prices every stored payload with ``path_edges`` and no
-    ``ValueError`` guard: T-edge and Step-3 B-edge payloads, either way round."""
-    rg = arts.router.rg
+    ``ValueError`` guard: T-edge and Step-3 B-edge payloads, either way round.
+    Its payload table holds each edge's payloads in both orientations, in
+    stored order, each with the TT cost summed over the oriented path, bit
+    for bit."""
+    router = arts.router
+    rg, vr, w = router.rg, router.rg.vertex_region, router._tt
     priced = {"T": 0, "B": 0}
     for e in rg.edges.values():
         for path, _ in e.paths:
             for p in (path, path[::-1]):
                 assert len(city.net.path_edges(p)) == len(p) - 1
                 priced[e.kind] += 1
+        for a, b in ((e.ra, e.rb), (e.rb, e.ra)):
+            rows = router._payloads.get((a, b))
+            if not e.paths:
+                assert rows is None
+                continue
+            assert [cnt for _, cnt, _ in rows] == [cnt for _, cnt in e.paths]
+            for (p, _, cost), (path, _) in zip(rows, e.paths):
+                flip = vr[path[0]] == b or vr[path[-1]] == a
+                assert p == (path[::-1] if flip else path)
+                assert cost == float(w[city.net.path_edges(p)].sum())
     assert priced["T"] > 0 and priced["B"] > 0
+    assert len(router._payloads) == 2 * sum(1 for e in rg.edges.values() if e.paths)
 
 
 def test_dedupe():

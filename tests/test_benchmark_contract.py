@@ -17,6 +17,7 @@ import repro.core.pipeline as pipeline
 import repro.core.routing as routing
 import repro.core.transfer as transfer
 import repro.roadnet.shortest_path as shortest_path
+from repro.core.routing import COUNTERS, L2RRouter
 from repro.roadnet.generator import make_city
 from repro.traj.generator import generate_trajectories, split_train_test
 
@@ -102,3 +103,23 @@ def test_benchmark_calls_bind(name):
 def test_both_transfer_cv_forms_are_called():
     """The whole Fig. 9 table and the amr-only sweep."""
     assert {(2, ()), (2, ("amr_values", "partitions_sweep"))} <= set(_calls("transfer_cv_experiment"))
+
+
+def test_router_kernel_counter_matches_traced_calls(run_module, arts, od_corpus):
+    """The traced run counts ``routing.*.kernel_calls`` by wrapping
+    ``routing.dijkstra`` with its ``Tracer``. Wrapped the same way, the router
+    must make exactly the kernel calls its own counter reports, and building
+    it must make none: its tables are built on construction, so their cost
+    falls in ``build_s`` and not in a query span or the warm-up pass."""
+    tracer = run_module.Tracer()
+    tracer.wrap(routing, "dijkstra", "kernel")
+    try:
+        router = L2RRouter(net=arts.router.net, rg=arts.router.rg)
+        assert not tracer.named("kernel")
+        assert {"_landmarks", "_payloads"} <= set(vars(router))
+        for s, d in od_corpus:
+            router.route(s, d)
+    finally:
+        tracer.unwrap()
+    kernel = sum(router.counters[k] for k in COUNTERS if k.startswith("kernel."))
+    assert kernel == len(tracer.named("kernel")) > 0
