@@ -7,9 +7,9 @@ B-edge. B-edges whose transfer yielded a null preference get fastest
 paths instead (Sec. VII-B: "we simply associate fastest paths with
 B-edges with null preference vectors").
 
-The per-pair searches are independent, so they run as a Spark
-``mapInPandas`` fan-out over the (B-edge, center pair) work list with the
-road network broadcast.
+The per-pair searches are independent, so they run as a
+``repro.spark.fan_out`` over the (B-edge, center pair) work list with the
+road network and its weights broadcast.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from pyspark.sql import SparkSession
 
 from ..roadnet.model import COSTS, RoadNetwork
 from ..roadnet.shortest_path import preference_dijkstra
+from ..spark import fan_out
 from .region_graph import RegionGraph
 
 MAX_CENTERS = 3  # cap transfer-center pairs per B-edge (3×3 searches)
@@ -38,38 +39,23 @@ def _work_list(rg: RegionGraph) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
+def _b_edge_path(r, shared):
+    net, weights = shared
+    res = preference_dijkstra(
+        net, int(r.src), int(r.dst), weights[r.master], None if r.slave < 0 else int(r.slave)
+    )
+    if res is not None and len(res[0]) > 1:
+        yield int(r.ra), int(r.rb), [int(v) for v in res[0]]
+
+
 def apply_preferences(
     spark: SparkSession, net: RoadNetwork, rg: RegionGraph, peak: bool = False
 ) -> int:
     """Attach preference-derived paths to every B-edge. Returns #paths built."""
-    work = _work_list(rg)
-    if len(work) == 0:
-        return 0
-    bc = spark.sparkContext.broadcast((net, {c: net.weights(c, peak=peak) for c in COSTS}))
-
-    def gen(batches):
-        net_w, weights = bc.value
-        for pdf in batches:
-            out = {"ra": [], "rb": [], "path": []}
-            for r in pdf.itertuples(index=False):
-                res = preference_dijkstra(
-                    net_w, int(r.src), int(r.dst), weights[r.master],
-                    None if r.slave < 0 else int(r.slave),
-                )
-                if res is not None and len(res[0]) > 1:
-                    out["ra"].append(int(r.ra)); out["rb"].append(int(r.rb))
-                    out["path"].append([int(v) for v in res[0]])
-            yield pd.DataFrame(out)
-
-    rows = (
-        spark.createDataFrame(work)
-        .repartition(max(2, spark.sparkContext.defaultParallelism))
-        .mapInPandas(gen, schema="ra long, rb long, path array<long>")
-        .toPandas()
-    )
-    n = 0
-    for _, r in rows.iterrows():
-        e = rg.edges[(int(r.ra), int(r.rb))]
-        e.paths.append(([int(v) for v in r.path], 1))
-        n += 1
-    return n
+    shared = (net, {c: net.weights(c, peak=peak) for c in COSTS})
+    rows = fan_out(
+        spark, _work_list(rg), _b_edge_path, "ra long, rb long, path array<long>", shared
+    ).toPandas()
+    for ra, rb, path in rows.itertuples(index=False):
+        rg.edges[(int(ra), int(rb))].paths.append(([int(v) for v in path], 1))
+    return len(rows)

@@ -19,8 +19,8 @@ CSR) scores every path from that source in a pSim *grid* of 3 masters ×
 [master, 6 slaves]; a T-edge's fit then only reads its paths' grids. A
 gated search that never settles a destination is a trapped Alg. 2 search,
 whose answer is the master path already scored in the grid's master column.
-The sources are a Spark ``mapInPandas`` fan-out with the road network, its
-three weight arrays and the paths broadcast once. Per-path preferences (for
+The sources are a ``repro.spark.fan_out`` with the road network, its three
+weight arrays and the paths broadcast once. Per-path preferences (for
 the Fig. 6(a) statistics) come from the same grids.
 """
 from __future__ import annotations
@@ -32,6 +32,7 @@ from pyspark.sql import SparkSession
 from ..roadnet.model import COSTS, ROAD_TYPES, RoadNetwork
 from ..roadnet.shortest_path import _search
 from ..eval.similarity import psim
+from ..spark import fan_out
 from .region_graph import RegionGraph
 
 SLAVES = list(range(len(ROAD_TYPES)))  # candidate slave road-type codes
@@ -118,11 +119,18 @@ def fit_preference(
     return _decide([grids[i] for i in range(len(paths))])
 
 
+def _grid_rows(row, shared):
+    net, weights, paths = shared
+    ids = [int(i) for i in row.pids]
+    g = _source_grids(net, int(row.src), [paths[i] for i in ids], weights)
+    return zip(ids, g.reshape(len(ids), -1).tolist())
+
+
 def learn_t_edge_preferences(
     spark: SparkSession, net: RoadNetwork, rg: RegionGraph, peak: bool = False
 ) -> pd.DataFrame:
     """Learn ⟨master, slave⟩ per T-edge: grids by source on Spark, one
-    ``mapInPandas`` task per core, then ``_decide`` per T-edge on the driver.
+    ``fan_out`` slice per core, then ``_decide`` per T-edge on the driver.
 
     Returns a pandas frame sorted by (ra, rb): ra, rb, master, slave (−1 for
     None), score, n_paths, n_unique_prefs; also writes the preferences into
@@ -134,31 +142,12 @@ def learn_t_edge_preferences(
         for p in paths:
             pid.setdefault(tuple(p), len(pid))
     uniq = [list(p) for p in pid]
-    grid: dict[int, np.ndarray] = {}
-    if uniq:
-        groups = _by_source(uniq)
-        work = pd.DataFrame({"src": list(groups), "pids": list(groups.values())})
-        bc = spark.sparkContext.broadcast((net, {c: net.weights(c, peak=peak) for c in COSTS}, uniq))
-
-        def gen(batches):
-            net_w, weights, paths_w = bc.value
-            for pdf in batches:
-                out = {"pid": [], "grid": []}
-                for r in pdf.itertuples(index=False):
-                    ids = [int(i) for i in r.pids]
-                    g = _source_grids(net_w, int(r.src), [paths_w[i] for i in ids], weights)
-                    out["pid"].extend(ids)
-                    out["grid"].extend(g.reshape(len(ids), -1).tolist())
-                yield pd.DataFrame(out)
-
-        rows = (
-            spark.createDataFrame(work)
-            .repartition(max(2, spark.sparkContext.defaultParallelism))
-            .mapInPandas(gen, schema="pid long, grid array<double>")
-            .toPandas()
-        )
-        shape = (len(COSTS), 1 + len(SLAVES))
-        grid = {int(i): np.asarray(g, dtype=np.float64).reshape(shape) for i, g in zip(rows.pid, rows.grid)}
+    groups = _by_source(uniq)
+    work = pd.DataFrame({"src": list(groups), "pids": list(groups.values())})
+    shared = (net, {c: net.weights(c, peak=peak) for c in COSTS}, uniq)
+    rows = fan_out(spark, work, _grid_rows, "pid long, grid array<double>", shared).toPandas()
+    shape = (len(COSTS), 1 + len(SLAVES))
+    grid = {int(i): np.asarray(g, dtype=np.float64).reshape(shape) for i, g in zip(rows.pid, rows.grid)}
     out = {k: [] for k in ("ra", "rb", "master", "slave", "score", "n_paths", "n_unique_prefs")}
     for (a, b), paths in t_edges:
         master, slave, score, per_path = _decide([grid[pid[tuple(p)]] for p in paths])

@@ -8,9 +8,9 @@ built two ways:
   trajectory *left* R_i to the vertex where it *entered* R_j (those
   vertices become *transfer centers*); a trajectory visiting m regions
   yields up to m(m−1)/2 region edges. Per-region *inner-region paths* are
-  also recorded. The per-trajectory decomposition runs as a Spark
-  ``mapInPandas`` over the trajectory DataFrame (broadcast vertex→region
-  map) followed by a groupBy aggregation of identical paths.
+  also recorded. The per-trajectory decomposition is a
+  ``repro.spark.fan_out`` over the trajectory DataFrame (vertex→region map
+  broadcast) followed by a groupBy aggregation of identical paths.
 * **B-edges** from a BFS over the *original* road network: for each region,
   a multi-source BFS that stops expanding at foreign-region vertices; any
   reached region not yet connected gets a B-edge (no path information —
@@ -29,6 +29,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from ..roadnet.model import RoadNetwork
 from ..roadnet.shortest_path import multi_source_reach
+from ..spark import fan_out
 from .clustering import Region, vertex_region_map
 
 TOP_K_TYPES = 2  # road types per region in the functionality descriptor 𝔽
@@ -114,6 +115,16 @@ def decompose_trajectory(path: list[int], vertex_region: np.ndarray) -> tuple[li
     return pairs, inner, centers
 
 
+def _t_edge_rows(row, vertex_region: np.ndarray):
+    pairs, inner, centers = decompose_trajectory(row.path.tolist(), vertex_region)
+    for ra, rb, sub in pairs:
+        yield "pair", ra, rb, sub
+    for r, sub in inner:
+        yield "inner", r, -1, sub
+    for r, v in centers:
+        yield "center", r, -1, [v]
+
+
 def extract_t_edge_rows(
     spark: SparkSession, traj_df: DataFrame, vertex_region: np.ndarray
 ) -> DataFrame:
@@ -123,24 +134,10 @@ def extract_t_edge_rows(
     vertex→region map is broadcast once; identical paths are then counted
     with a groupBy so the driver only sees the aggregated path sets.
     """
-    bc = spark.sparkContext.broadcast(vertex_region)
-
-    def gen(batches):
-        vr = bc.value
-        for pdf in batches:
-            out = {"kind": [], "ra": [], "rb": [], "path": []}
-            for p in pdf["path"]:
-                pairs, inner, centers = decompose_trajectory(list(p), vr)
-                for ra, rb, sub in pairs:
-                    out["kind"].append("pair"); out["ra"].append(ra); out["rb"].append(rb); out["path"].append(sub)
-                for r, sub in inner:
-                    out["kind"].append("inner"); out["ra"].append(r); out["rb"].append(-1); out["path"].append(sub)
-                for r, v in centers:
-                    out["kind"].append("center"); out["ra"].append(r); out["rb"].append(-1); out["path"].append([v])
-            yield pd.DataFrame(out)
-
-    schema = "kind string, ra long, rb long, path array<long>"
-    return traj_df.select("path").mapInPandas(gen, schema=schema)
+    return fan_out(
+        spark, traj_df.select("path"), _t_edge_rows,
+        "kind string, ra long, rb long, path array<long>", vertex_region,
+    )
 
 
 def aggregate_t_edges(rows: DataFrame) -> pd.DataFrame:
@@ -204,7 +201,7 @@ def build_region_graph(
         e.paths.sort(key=lambda pc: (-pc[1], len(pc[0])))
         e.paths = e.paths[:MAX_PATHS_PER_EDGE]
 
-    centroids = np.stack([net.xy[r.vertices].mean(axis=0) for r in regions])
+    centroids = np.array([net.xy[r.vertices].mean(axis=0) for r in regions]).reshape(-1, 2)
     top_types = [region_top_types(net, r.vertices) for r in regions]
     transfer_centers = []
     for r in regions:

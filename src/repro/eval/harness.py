@@ -3,8 +3,8 @@
 For every test trajectory (its driver's actual path is the ground truth,
 Sec. VII-A) each router answers the same (source, destination, departure
 period, driver) query; we score both pSim variants (Eqs. 1 and 4) and the
-per-query wall-clock. Queries are independent, so evaluation fans out via
-``mapInPandas`` with the routers broadcast once; results come back as a
+per-query wall-clock. Queries are independent, so evaluation is a
+``repro.spark.fan_out`` with the routers broadcast once; results come back as a
 per-query DataFrame whose grouped aggregations (accuracy/runtime per
 distance bucket / region category) are oracle-checked in the tests.
 """
@@ -17,6 +17,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from ..roadnet.model import RoadNetwork
+from ..spark import fan_out
 from ..traj.generator import Trajectory
 from .similarity import psim, psim_union
 
@@ -27,6 +28,18 @@ def category_of(vertex_region: np.ndarray, s: int, d: int) -> str:
     """Sec. VII-A categorisation of a query by region membership of s/d."""
     n_in = int(vertex_region[s] >= 0) + int(vertex_region[d] >= 0)
     return CATEGORIES[2 - n_in]
+
+
+def _answers(q, shared):
+    routers, net, vertex_region = shared
+    gt = list(map(int, q.path))
+    cat = category_of(vertex_region, int(q.s), int(q.d))
+    for name, router in routers.items():
+        t0 = time.perf_counter()
+        path = router.route(int(q.s), int(q.d), peak=bool(q.peak), driver=int(q.driver))
+        ms = (time.perf_counter() - t0) * 1000
+        sim1, sim4 = psim(net, gt, path), psim_union(net, gt, path)
+        yield int(q.traj_id), name, sim1, sim4, ms, float(q.dist_m), cat
 
 
 def evaluate(
@@ -48,34 +61,8 @@ def evaluate(
             "path": [[int(v) for v in t.path] for t in test],
         }
     )
-    bc = spark.sparkContext.broadcast((routers, net, vertex_region))
-
-    def run(batches):
-        rts, net_w, vr = bc.value
-        for pdf in batches:
-            out = {"traj_id": [], "router": [], "sim1": [], "sim4": [], "ms": [], "dist_m": [], "category": []}
-            for q in pdf.itertuples(index=False):
-                gt = list(map(int, q.path))
-                cat = category_of(vr, int(q.s), int(q.d))
-                for name, router in rts.items():
-                    t0 = time.perf_counter()
-                    path = router.route(int(q.s), int(q.d), peak=bool(q.peak), driver=int(q.driver))
-                    ms = (time.perf_counter() - t0) * 1000
-                    out["traj_id"].append(int(q.traj_id))
-                    out["router"].append(name)
-                    out["sim1"].append(psim(net_w, gt, path))
-                    out["sim4"].append(psim_union(net_w, gt, path))
-                    out["ms"].append(ms)
-                    out["dist_m"].append(float(q.dist_m))
-                    out["category"].append(cat)
-            yield pd.DataFrame(out)
-
     schema = "traj_id long, router string, sim1 double, sim4 double, ms double, dist_m double, category string"
-    return (
-        spark.createDataFrame(queries)
-        .repartition(max(2, spark.sparkContext.defaultParallelism))
-        .mapInPandas(run, schema=schema)
-    )
+    return fan_out(spark, queries, _answers, schema, (routers, net, vertex_region))
 
 
 def accuracy_by_bucket(results: DataFrame, edges_km: list[float]) -> DataFrame:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 # Road-type vocabulary (index == code used throughout the repo).
 ROAD_TYPES = ["motorway", "trunk", "primary", "secondary", "tertiary", "residential"]
@@ -176,18 +174,3 @@ class RoadNetwork:
         if len(path) < 2:
             return 0.0
         return float(self.dist[self.path_edges(path)].sum())
-
-    # -- Spark interop ----------------------------------------------------
-    def edges_df(self, spark: SparkSession) -> DataFrame:
-        pdf = pd.DataFrame(
-            {
-                "eid": np.arange(self.n_edges, dtype=np.int64),
-                "u": self.eu.astype(np.int64),
-                "v": self.ev.astype(np.int64),
-                "dist": self.dist,
-                "rt": self.rt.astype(np.int32),
-                "tt": self.travel_time(),
-                "fc": self.fuel(),
-            }
-        )
-        return spark.createDataFrame(pdf)

@@ -1,4 +1,5 @@
-"""Spark start-up: the JVM launch settings and the one session factory.
+"""Spark start-up (the JVM launch settings and the one session factory) and
+the one per-row fan-out every Spark stage of the pipeline goes through.
 
 ``spark.driver.memory`` and the master are read when the JVM launches, not
 from a ``SparkConf``, so ``get_session`` puts them into
@@ -13,8 +14,10 @@ launch arguments.
 from __future__ import annotations
 
 import os
+from typing import Any, Callable, Iterable
 
-from pyspark.sql import SparkSession
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 
 
 def _driver_mem() -> str:
@@ -71,3 +74,38 @@ def get_session(app: str) -> SparkSession:
     )
     s.sparkContext.setLogLevel("ERROR")
     return s
+
+
+def fan_out(
+    spark: SparkSession,
+    work: pd.DataFrame | DataFrame,
+    fn: Callable[[Any, Any], Iterable[tuple]],
+    schema: str,
+    shared: Any,
+) -> DataFrame:
+    """Run ``fn(row, shared)`` on every row of ``work`` in Spark workers.
+
+    ``work`` is a pandas frame (made into a Spark DataFrame here) or a Spark
+    DataFrame; ``row`` is one of its rows as a namedtuple. ``shared`` is
+    broadcast once. Each call yields output tuples in the order of the
+    fields of ``schema`` (a DDL string). The work is spread over
+    ``max(2, defaultParallelism)`` partitions, so every core gets a slice.
+    An empty pandas ``work`` gives an empty DataFrame of ``schema``.
+    """
+    empty = spark.createDataFrame([], schema)
+    if isinstance(work, pd.DataFrame):
+        if work.empty:
+            return empty
+        work = spark.createDataFrame(work)
+    names = empty.columns
+    bc = spark.sparkContext.broadcast(shared)
+
+    def gen(batches):
+        value = bc.value
+        for pdf in batches:
+            rows = [out for row in pdf.itertuples(index=False) for out in fn(row, value)]
+            yield pd.DataFrame(rows, columns=names)
+
+    return work.repartition(max(2, spark.sparkContext.defaultParallelism)).mapInPandas(
+        gen, schema=empty.schema
+    )

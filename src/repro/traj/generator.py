@@ -186,4 +186,5 @@ def trajectories_df(spark: SparkSession, trajs: list[Trajectory]) -> DataFrame:
             "path": [[int(v) for v in t.path] for t in trajs],
         }
     )
-    return spark.createDataFrame(pdf)
+    schema = "traj_id long, driver long, dep_hour long, peak boolean, dist_m double, path array<long>"
+    return spark.createDataFrame(pdf, schema=schema)

@@ -150,3 +150,23 @@ def test_l2r_beats_fastest_on_training_pairs(city, arts, spark):
         sims_l2r.append(psim(city.net, t.path, arts.router.route(s, d)))
         sims_fast.append(psim(city.net, t.path, fastest.route(s, d, peak=t.peak)))
     assert np.mean(sims_l2r) > np.mean(sims_fast) - 0.02
+
+
+@pytest.mark.parametrize("n_train", [0, 1])
+def test_build_on_empty_or_tiny_trajectory_set(spark, city, od_corpus, n_train):
+    """With no trajectories there are no regions, so every answer is the
+    fastest path; with one there are a few, and every answer is still a
+    contiguous s→d road path."""
+    from repro.baselines.costcentric import FastestRouter
+    from repro.core.pipeline import build_l2r
+
+    train = generate_trajectories(city, n=5, n_drivers=2, seed=11)[:n_train]
+    router = build_l2r(spark, city, train).router
+    assert (router.rg.n_regions > 0) == (n_train > 0)
+    fastest = FastestRouter(city.net)
+    for s, d in od_corpus:
+        path = router.route(s, d)
+        assert path[0] == s and path[-1] == d
+        city.net.path_edges(path)
+        if n_train == 0:
+            assert path == fastest.route(s, d)

@@ -6,6 +6,7 @@ calls are read from the benchmark's source with ``ast`` and bound against
 the program's signatures.
 """
 import ast
+import copy
 import importlib.util
 import inspect
 import sys
@@ -19,7 +20,7 @@ import repro.core.transfer as transfer
 import repro.roadnet.shortest_path as shortest_path
 from repro.core.routing import COUNTERS, L2RRouter
 from repro.roadnet.generator import make_city
-from repro.traj.generator import generate_trajectories, split_train_test
+from repro.traj.generator import generate_trajectories, split_train_test, trajectories_df
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CALLED = {
@@ -123,3 +124,25 @@ def test_router_kernel_counter_matches_traced_calls(run_module, arts, od_corpus)
         tracer.unwrap()
     kernel = sum(router.counters[k] for k in COUNTERS if k.startswith("kernel."))
     assert kernel == len(tracer.named("kernel")) > 0
+
+
+def test_every_spark_layer_runs_a_stage(run_module, spark, city, trajs, clustered, learned):
+    """The traced run takes ``min`` over each Spark layer's stage task counts,
+    so each of its ``SPARK_LAYERS`` must launch at least one Spark stage when
+    its stage function runs under that layer's job group, as it does there."""
+    net = city.net
+    calls = {
+        "edge_popularity_array": lambda f: f(trajectories_df(spark, trajs), net, spark),
+        "build_region_graph": lambda f: f(spark, net, clustered[1], trajectories_df(spark, trajs)),
+        "learn_t_edge_preferences": lambda f: f(spark, net, copy.deepcopy(learned[0])),
+        "apply_preferences": lambda f: f(spark, net, copy.deepcopy(learned[0])),
+    }
+    layers = {layer: attr for attr, layer in run_module.STAGES}
+    sc = spark.sparkContext
+    for layer in run_module.SPARK_LAYERS:
+        sc.setJobGroup(layer, layer)
+        try:
+            calls[layers[layer]](getattr(pipeline, layers[layer]))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert run_module.stage_tasks(sc, layer), layer

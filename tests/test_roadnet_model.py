@@ -154,8 +154,3 @@ def test_city_deterministic():
     assert np.array_equal(a.net.xy, b.net.xy)
     assert np.array_equal(a.net.rt, b.net.rt)
 
-
-def test_spark_dfs(city, spark):
-    e = city.net.edges_df(spark)
-    assert e.count() == city.net.n_edges
-    assert set(e.columns) == {"eid", "u", "v", "dist", "rt", "tt", "fc"}
