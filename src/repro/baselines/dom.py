@@ -32,18 +32,22 @@ class DomRouter:
     net: RoadNetwork
     driver_pref: dict[int, str] = field(default_factory=dict)
 
+    # Training paths scored per driver (a seeded sample when there are more).
+    MAX_PATHS_PER_DRIVER = 8
+    SEED = 23
+
     def __post_init__(self):
         self._w = {c: {False: self.net.weights(c, peak=False), True: self.net.weights(c, peak=True)} for c in COSTS}
 
-    def fit(self, train: list[Trajectory], max_paths_per_driver: int = 8, seed: int = 23) -> "DomRouter":
+    def fit(self, train: list[Trajectory]) -> "DomRouter":
         """Learn each driver's dominating cost factor from their own paths."""
-        g = np.random.default_rng(seed)
+        g = np.random.default_rng(self.SEED)
         by_driver: dict[int, list[Trajectory]] = {}
         for t in train:
             by_driver.setdefault(t.driver, []).append(t)
         for drv, ts in by_driver.items():
-            if len(ts) > max_paths_per_driver:
-                ts = [ts[i] for i in g.choice(len(ts), max_paths_per_driver, replace=False)]
+            if len(ts) > self.MAX_PATHS_PER_DRIVER:
+                ts = [ts[i] for i in g.choice(len(ts), self.MAX_PATHS_PER_DRIVER, replace=False)]
             votes: Counter[str] = Counter()
             for t in ts:
                 best_c, best_s = "TT", -1.0

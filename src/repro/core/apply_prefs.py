@@ -9,7 +9,7 @@ B-edges with null preference vectors").
 
 The per-pair searches are independent, so they run as a
 ``repro.spark.fan_out`` over the (B-edge, center pair) work list with the
-road network and its weights broadcast.
+road network and its off-peak weights broadcast.
 """
 from __future__ import annotations
 
@@ -48,11 +48,9 @@ def _b_edge_path(r, shared):
         yield int(r.ra), int(r.rb), [int(v) for v in res[0]]
 
 
-def apply_preferences(
-    spark: SparkSession, net: RoadNetwork, rg: RegionGraph, peak: bool = False
-) -> int:
+def apply_preferences(spark: SparkSession, net: RoadNetwork, rg: RegionGraph) -> int:
     """Attach preference-derived paths to every B-edge. Returns #paths built."""
-    shared = (net, {c: net.weights(c, peak=peak) for c in COSTS})
+    shared = (net, {c: net.weights(c) for c in COSTS})
     rows = fan_out(
         spark, _work_list(rg), _b_edge_path, "ra long, rb long, path array<long>", shared
     ).toPandas()

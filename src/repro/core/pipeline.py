@@ -5,10 +5,9 @@ clustering, region-graph construction, Steps 1–3 of Section V — and
 returns a ready :class:`repro.core.routing.L2RRouter` plus per-stage
 wall-clock timings (the "offline processing time" numbers of Sec. VII-C).
 
-Peak/off-peak: the paper builds one region graph per period from the
-trajectories of that period (Sec. III scope). ``build_l2r_per_period``
-does exactly that and returns a dispatcher that picks the graph by the
-query's departure period.
+One region graph is built from the whole trajectory set, and Steps 1 and 3
+search under off-peak costs; the router answers every query, peak or
+off-peak, on it.
 """
 from __future__ import annotations
 
@@ -38,13 +37,8 @@ class L2RArtifacts:
     timings_s: dict[str, float] = field(default_factory=dict)
 
 
-def build_l2r(
-    spark,
-    city: City,
-    train: list[Trajectory],
-    peak: bool = False,
-) -> L2RArtifacts:
-    """Offline build on one period's trajectories."""
+def build_l2r(spark, city: City, train: list[Trajectory]) -> L2RArtifacts:
+    """Offline build on all of ``train``, under off-peak costs."""
     net = city.net
     timings: dict[str, float] = {}
     traj_df = trajectories_df(spark, train).cache()
@@ -56,7 +50,7 @@ def build_l2r(
     timings["region_graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    prefs = learn_t_edge_preferences(spark, net, rg, peak=peak)
+    prefs = learn_t_edge_preferences(spark, net, rg)
     timings["step1_learn"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -64,33 +58,14 @@ def build_l2r(
     timings["step2_transfer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    apply_preferences(spark, net, rg, peak=peak)
+    apply_preferences(spark, net, rg)
     timings["step3_apply"] = time.perf_counter() - t0
 
     traj_df.unpersist()
     return L2RArtifacts(
-        router=L2RRouter(net=net, rg=rg, peak=peak),
+        router=L2RRouter(net=net, rg=rg),
         regions=regions,
         prefs=prefs,
         timings_s={k: round(v, 3) for k, v in timings.items()},
     )
 
-
-@dataclass
-class PeriodL2R:
-    """Departure-time dispatcher over peak / off-peak region graphs."""
-
-    off: L2RRouter
-    peak: L2RRouter
-
-    def route(self, s: int, d: int, peak: bool = False, driver: int = 0) -> list[int]:
-        return (self.peak if peak else self.off).route(s, d)
-
-
-def build_l2r_per_period(spark, city: City, train: list[Trajectory]) -> tuple[PeriodL2R, dict]:
-    off = build_l2r(spark, city, [t for t in train if not t.peak], peak=False)
-    peak = build_l2r(spark, city, [t for t in train if t.peak], peak=True)
-    return PeriodL2R(off=off.router, peak=peak.router), {
-        "off": off.timings_s,
-        "peak": peak.timings_s,
-    }

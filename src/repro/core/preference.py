@@ -20,8 +20,8 @@ CSR) scores every path from that source in a pSim *grid* of 3 masters ×
 gated search that never settles a destination is a trapped Alg. 2 search,
 whose answer is the master path already scored in the grid's master column.
 The sources are a ``repro.spark.fan_out`` with the road network, its three
-weight arrays and the paths broadcast once. Per-path preferences (for
-the Fig. 6(a) statistics) come from the same grids.
+off-peak weight arrays and the paths broadcast once. Per-path preferences
+(for the Fig. 6(a) statistics) come from the same grids.
 """
 from __future__ import annotations
 
@@ -109,16 +109,6 @@ def _by_source(paths: list[list[int]]) -> dict[int, list[int]]:
     return groups
 
 
-def fit_preference(
-    net: RoadNetwork, paths: list[list[int]], weights: dict[str, np.ndarray]
-) -> tuple[str, int | None, float, list[tuple[str, int | None]]]:
-    """Fit one path set on the driver: ``_decide`` over its ``_source_grids``."""
-    grids: dict[int, np.ndarray] = {}
-    for src, idx in _by_source(paths).items():
-        grids.update(zip(idx, _source_grids(net, src, [paths[i] for i in idx], weights)))
-    return _decide([grids[i] for i in range(len(paths))])
-
-
 def _grid_rows(row, shared):
     net, weights, paths = shared
     ids = [int(i) for i in row.pids]
@@ -126,9 +116,7 @@ def _grid_rows(row, shared):
     return zip(ids, g.reshape(len(ids), -1).tolist())
 
 
-def learn_t_edge_preferences(
-    spark: SparkSession, net: RoadNetwork, rg: RegionGraph, peak: bool = False
-) -> pd.DataFrame:
+def learn_t_edge_preferences(spark: SparkSession, net: RoadNetwork, rg: RegionGraph) -> pd.DataFrame:
     """Learn ⟨master, slave⟩ per T-edge: grids by source on Spark, one
     ``fan_out`` slice per core, then ``_decide`` per T-edge on the driver.
 
@@ -144,7 +132,7 @@ def learn_t_edge_preferences(
     uniq = [list(p) for p in pid]
     groups = _by_source(uniq)
     work = pd.DataFrame({"src": list(groups), "pids": list(groups.values())})
-    shared = (net, {c: net.weights(c, peak=peak) for c in COSTS}, uniq)
+    shared = (net, {c: net.weights(c) for c in COSTS}, uniq)
     rows = fan_out(spark, work, _grid_rows, "pid long, grid array<double>", shared).toPandas()
     shape = (len(COSTS), 1 + len(SLAVES))
     grid = {int(i): np.asarray(g, dtype=np.float64).reshape(shape) for i, g in zip(rows.pid, rows.grid)}

@@ -34,6 +34,7 @@ from .clustering import Region, vertex_region_map
 
 TOP_K_TYPES = 2  # road types per region in the functionality descriptor 𝔽
 MAX_PATHS_PER_EDGE = 16  # payload paths kept per T-edge, most traversed first
+AREA_BUCKETS_KM2 = (0.0, 2.0, 5.0, 10.0)  # Table IV's lower bucket edges
 
 
 @dataclass
@@ -53,7 +54,6 @@ class RegionGraph:
 
     vertex_region: np.ndarray  # vid -> region id (−1 uncovered)
     region_vertices: list[np.ndarray]
-    region_rt: list[int | None]
     centroids: np.ndarray  # (n_regions, 2) metres
     top_types: list[list[int]]  # top-k road types per region (functionality 𝔽)
     transfer_centers: list[list[int]]
@@ -214,7 +214,6 @@ def build_region_graph(
     rg = RegionGraph(
         vertex_region=vr,
         region_vertices=[r.vertices for r in regions],
-        region_rt=[r.rt for r in regions],
         centroids=centroids,
         top_types=top_types,
         transfer_centers=transfer_centers,
@@ -286,22 +285,17 @@ def region_hull_stats(net: RoadNetwork, region_vertices: list[np.ndarray]) -> pd
     return pd.DataFrame({"area_km2": areas, "diam_km": diams})
 
 
-def region_size_table(
-    net: RoadNetwork,
-    region_vertices: list[np.ndarray],
-    edges_km2: list[float] = (0.0, 2.0, 5.0, 10.0),
-) -> pd.DataFrame:
+def region_size_table(net: RoadNetwork, region_vertices: list[np.ndarray]) -> pd.DataFrame:
     """Table IV: per area bucket, number of regions, percentage, max diameter."""
     stats = region_hull_stats(net, region_vertices)
-    labels, rows = [], []
-    buckets = list(zip(edges_km2[:-1], edges_km2[1:])) + [(edges_km2[-1], np.inf)]
+    rows = []
+    buckets = list(zip(AREA_BUCKETS_KM2, AREA_BUCKETS_KM2[1:] + (np.inf,)))
     for bi, (lo, hi) in enumerate(buckets):
         # First bucket is closed at 0 so zero-area (collinear/singleton)
         # regions are counted rather than silently dropped.
         lo_ok = stats.area_km2 >= lo if bi == 0 else stats.area_km2 > lo
         sel = stats[lo_ok & (stats.area_km2 <= hi)] if np.isfinite(hi) else stats[lo_ok]
         label = f"({lo:g},{hi:g}]" if np.isfinite(hi) else f">{lo:g}"
-        labels.append(label)
         rows.append(
             {
                 "bucket_km2": label,

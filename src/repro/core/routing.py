@@ -14,8 +14,8 @@ s to d, take the first/last region it touches as candidate R_s/R_d, route
 Case 1 between the touch points and splice the fastest on/off ramps; if
 fewer than two candidate regions exist, return the fastest path.
 
-Two tables are built once per router, so once per period: a landmark table
-of TT distances that gives the detour guard a lower bound on the
+Two tables are built once per router: a landmark table of off-peak TT
+distances that gives the detour guard a lower bound on the
 fastest cost (the ALT bound of Goldberg & Harrelson, SODA 2005), and the
 region-edge payloads per orientation with their TT costs.
 """
@@ -101,7 +101,6 @@ class L2RRouter:
 
     net: RoadNetwork
     rg: RegionGraph
-    peak: bool = False
 
     # Region-path detour guard: a stitched trajectory route costing more
     # than this factor times the fastest path is through-traffic noise, not
@@ -119,7 +118,7 @@ class L2RRouter:
     LANDMARK_MARGIN = 1e-9
 
     def __post_init__(self):
-        self._tt = self.net.travel_time(peak=self.peak)
+        self._tt = self.net.travel_time()
         self.counters = dict.fromkeys(COUNTERS, 0)
         self._landmarks = landmark_table(self.net, self._tt, self.LANDMARKS)
         self._payloads = self._payload_table()
@@ -294,9 +293,9 @@ class L2RRouter:
         """Recommend a path for an arbitrary (s, d) pair.
 
         ``peak``/``driver`` are part of the uniform router protocol used by
-        the evaluation harness; an L2RRouter is built per period (its
-        congestion state is baked in) and is not personalized, so both are
-        ignored here.
+        the evaluation harness. The region graph is built once, under
+        off-peak costs, from all training trajectories, and is not
+        personalized, so both are ignored here.
         """
         if s == d:
             self.counters["queries.same_vertex"] += 1

@@ -55,6 +55,10 @@ P_FEATURES = len(COSTS) + N_SLAVE
 # Cells per row block of the similarity pass: a block's temporaries stay
 # a few MB and below the dense n×n matrices of the solve.
 SIM_BLOCK_CELLS = 1 << 18
+# CG stops at this squared residual or iteration count.
+CG_TOL = 1e-10
+CG_MAXITER = 10000
+NULL_EPS = 1e-9  # a predicted row with no master score above this is null
 
 EdgeKey = tuple[int, int]
 Pref = tuple[str, int | None]
@@ -149,14 +153,15 @@ def similarity_pairs(
     return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_s)
 
 
-def _conjugate_gradient(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, maxiter: int = 10000) -> np.ndarray:
-    """CG for SPD A (numpy-only; the container has no scipy)."""
+def _conjugate_gradient(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """CG for SPD A (numpy-only, without scipy); stops once the squared
+    residual is below ``CG_TOL`` or after ``CG_MAXITER`` iterations."""
     x = np.zeros_like(b)
     r = b - A @ x
     p = r.copy()
     rs = r @ r
-    for _ in range(maxiter):
-        if rs < tol:
+    for _ in range(CG_MAXITER):
+        if rs < CG_TOL:
             break
         Ap = A @ p
         alpha = rs / (p @ Ap)
@@ -176,10 +181,10 @@ def _one_hot(pref: Pref) -> np.ndarray:
     return y
 
 
-def _decode(row: np.ndarray, eps: float = 1e-9) -> Pref | None:
+def _decode(row: np.ndarray) -> Pref | None:
     m = row[: len(COSTS)]
     s = row[len(COSTS) :]
-    if m.max() <= eps:  # disconnected from all labeled edges -> null pref
+    if m.max() <= NULL_EPS:  # disconnected from all labeled edges -> null pref
         return None
     master = COSTS[int(np.argmax(m))]
     slave_i = int(np.argmax(s))

@@ -1,10 +1,10 @@
 """10 m-band way-point matching — the Google-comparison methodology
 (Sec. VII-D, Fig. 14).
 
-The ground-truth path is a polyline; a band of ±band_m metres surrounds
-it. A way-point inside the band is *matched* and is projected onto the
-polyline; for each pair of consecutive matched way-points, the GT edges
-lying between their projection points count as covered. Accuracy is the
+The ground-truth path is a polyline; a band of ±``BAND_M`` metres
+surrounds it. A way-point inside the band is *matched* and is projected
+onto the polyline; for each pair of consecutive matched way-points, the GT
+edges lying between their projection points count as covered. Accuracy is the
 covered length divided by the GT path length (the Eq. 1 normalisation).
 """
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..roadnet.model import RoadNetwork
+
+BAND_M = 10.0  # half-width of the matching band, metres
 
 
 def _project_to_polyline(pts: np.ndarray, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -34,9 +36,7 @@ def _project_to_polyline(pts: np.ndarray, poly: np.ndarray) -> tuple[np.ndarray,
     return dists, arcs
 
 
-def band_accuracy(
-    net: RoadNetwork, gt_path: list[int], waypoints: np.ndarray, band_m: float = 10.0
-) -> float:
+def band_accuracy(net: RoadNetwork, gt_path: list[int], waypoints: np.ndarray) -> float:
     """Similarity of a way-point answer against a GT path (Eq. 1 style)."""
     if len(gt_path) < 2 or len(waypoints) == 0:
         return 0.0
@@ -47,7 +47,7 @@ def band_accuracy(
     if total <= 0:
         return 0.0
     dists, arcs = _project_to_polyline(waypoints, poly)
-    matched = dists <= band_m
+    matched = dists <= BAND_M
     # Intervals between consecutive matched way-points.
     intervals = []
     for i in range(len(waypoints) - 1):

@@ -33,18 +33,18 @@ def test_projection_clamps_to_endpoints():
 
 def test_exact_waypoints_full_match(city, gt_path):
     wps = city.net.xy[np.asarray(gt_path)]
-    assert band_accuracy(city.net, gt_path, wps, band_m=10.0) == pytest.approx(1.0)
+    assert band_accuracy(city.net, gt_path, wps) == pytest.approx(1.0)
 
 
 def test_waypoints_within_band_match(city, gt_path):
     g = np.random.default_rng(0)
     wps = city.net.xy[np.asarray(gt_path)] + g.uniform(-5, 5, (len(gt_path), 2))
-    assert band_accuracy(city.net, gt_path, wps, band_m=10.0) > 0.9
+    assert band_accuracy(city.net, gt_path, wps) > 0.9
 
 
 def test_far_waypoints_no_match(city, gt_path):
     wps = city.net.xy[np.asarray(gt_path)] + 500.0
-    assert band_accuracy(city.net, gt_path, wps, band_m=10.0) == 0.0
+    assert band_accuracy(city.net, gt_path, wps) == 0.0
 
 
 def test_subsampled_waypoints_partial_or_full(city, gt_path):
@@ -52,14 +52,14 @@ def test_subsampled_waypoints_partial_or_full(city, gt_path):
     cover the GT edges between their projections."""
     idx = list(range(0, len(gt_path), 3)) + [len(gt_path) - 1]
     wps = city.net.xy[np.asarray([gt_path[i] for i in sorted(set(idx))])]
-    acc = band_accuracy(city.net, gt_path, wps, band_m=10.0)
+    acc = band_accuracy(city.net, gt_path, wps)
     assert acc > 0.9
 
 
 def test_half_path_waypoints(city, gt_path):
     half = gt_path[: len(gt_path) // 2]
     wps = city.net.xy[np.asarray(half)]
-    acc = band_accuracy(city.net, gt_path, wps, band_m=10.0)
+    acc = band_accuracy(city.net, gt_path, wps)
     assert 0.2 < acc < 0.8
 
 

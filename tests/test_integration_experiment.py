@@ -105,18 +105,3 @@ def test_offline_timings_all_stages(world):
     _, arts, _, _, _ = world
     t = arts.timings_s
     assert all(t[k] > 0 for k in ("region_graph", "step1_learn", "step2_transfer", "step3_apply"))
-
-
-def test_peak_period_build(world, spark):
-    """Peak/off-peak region graphs build and dispatch by departure period."""
-    from repro.core.pipeline import build_l2r_per_period
-
-    city, _, train, test, _ = world
-    period, timings = build_l2r_per_period(spark, city, train[:250])
-    assert set(timings) == {"off", "peak"}
-    q = test[0]
-    p_off = period.route(q.path[0], q.path[-1], peak=False)
-    p_peak = period.route(q.path[0], q.path[-1], peak=True)
-    city.net.path_edges(p_off)
-    city.net.path_edges(p_peak)
-    assert p_off[0] == q.path[0] and p_off[-1] == q.path[-1]

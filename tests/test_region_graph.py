@@ -1,16 +1,22 @@
 """Tests for region-graph construction (Sec. IV-B) and Table IV stats."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.clustering import vertex_region_map
 from repro.core.region_graph import (
     _convex_hull,
     _segments,
+    aggregate_t_edges,
     build_region_graph,
     decompose_trajectory,
+    extract_t_edge_rows,
     region_hull_stats,
     region_size_table,
     region_top_types,
 )
+from repro.oracle import assert_equivalent
 from repro.traj.generator import trajectories_df
 
 
@@ -81,6 +87,31 @@ def test_region_graph_independent_of_spark_partitioning(spark, city, trajs, clus
     finally:
         for k, v in saved.items():
             spark.conf.set(k, v)
+
+
+def test_t_edge_counts_oracle(spark, city, trajs, clustered):
+    """The payload counts equal a DuckDB GROUP BY over the collected fan-out
+    rows, and the pair rows equal a driver-side count of
+    ``decompose_trajectory``. Paths are compared as strings: the oracle
+    cannot order array columns."""
+
+    def key(path) -> str:
+        return ",".join(str(int(v)) for v in path)
+
+    vr = vertex_region_map(city.net, clustered[1])
+    traj_df = trajectories_df(spark, trajs)
+    raw = extract_t_edge_rows(spark, traj_df, vr).toPandas()
+    raw["path"] = raw.path.map(key)
+    got = aggregate_t_edges(extract_t_edge_rows(spark, traj_df, vr))
+    got["path"] = got.path.map(key)
+    sql = "SELECT kind, ra, rb, path, count(*) AS cnt FROM r GROUP BY kind, ra, rb, path"
+    assert_equivalent(got, sql, r=raw)
+    pairs = Counter(
+        (ra, rb, key(sub)) for t in trajs for ra, rb, sub in decompose_trajectory(t.path, vr)[0]
+    )
+    got_pairs = got[got.kind == "pair"]
+    assert dict(zip(zip(got_pairs.ra, got_pairs.rb, got_pairs.path), got_pairs.cnt)) == pairs
+    assert max(pairs.values()) > 1  # some payload is shared, so cnt is checked beyond 1
 
 
 def test_t_edge_paths_are_contiguous(city, built):

@@ -92,13 +92,13 @@ class ReferenceRouter(L2RRouter):
         return full
 
 
-@pytest.fixture(scope="module", params=[False, True], ids=["offpeak", "peak"])
-def routed(request, arts, od_corpus):
-    """(router, its answers, the reference's answers) over ``od_corpus`` for
-    one period; the router is fresh, so its counters count the corpus."""
+@pytest.fixture(scope="module")
+def routed(arts, od_corpus):
+    """(router, its answers, the reference's answers) over ``od_corpus``;
+    the router is fresh, so its counters count the corpus."""
     net, rg = arts.router.net, arts.router.rg
-    router = L2RRouter(net=net, rg=rg, peak=request.param)
-    ref = ReferenceRouter(net=net, rg=rg, peak=request.param)
+    router = L2RRouter(net=net, rg=rg)
+    ref = ReferenceRouter(net=net, rg=rg)
     return router, [router.route(s, d) for s, d in od_corpus], [ref.route(s, d) for s, d in od_corpus]
 
 
@@ -128,16 +128,19 @@ def test_case_counts_sum_to_queries(routed, od_corpus):
 
 @pytest.mark.parametrize("peak", [False, True], ids=["offpeak", "peak"])
 def test_landmark_bound_below_fastest_cost(arts, peak):
-    router = L2RRouter(net=arts.router.net, rg=arts.router.rg, peak=peak)
-    net = router.net
-    assert router._landmarks.shape == (net.n_vertices, router.LANDMARKS)
+    net = arts.router.net
+    w = net.travel_time(peak=peak)
+    table = landmark_table(net, w, L2RRouter.LANDMARKS)
+    assert table.shape == (net.n_vertices, L2RRouter.LANDMARKS)
+    if not peak:  # the router's own table, built under off-peak weights
+        assert np.array_equal(table, arts.router._landmarks)
     g = np.random.default_rng(7)
     tight = 0
     for s, d in g.integers(0, net.n_vertices, size=(300, 2)):
         s, d = int(s), int(d)
-        path = dijkstra(net, s, d, router._tt)[0]
-        cost = router._tt[net.path_edges(path)].sum()
-        bound = landmark_bound(router._landmarks, s, d, router.LANDMARK_MARGIN)
+        path = dijkstra(net, s, d, w)[0]
+        cost = w[net.path_edges(path)].sum()
+        bound = landmark_bound(table, s, d, L2RRouter.LANDMARK_MARGIN)
         assert bound <= cost
         tight += bound > 0.5 * cost
     assert tight > 150  # the bound is informative, not merely safe

@@ -77,7 +77,6 @@ def _tiny_rg(edges: dict) -> RegionGraph:
     return RegionGraph(
         vertex_region=np.array([]),
         region_vertices=[np.array([0])] * 6,
-        region_rt=[None] * 6,
         centroids=centroids,
         top_types=[[0, 2], [5, 3], [0, 2], [5, 3], [0, 2], [0, 2]],
         transfer_centers=[[0]] * 6,
